@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .errors import InvariantViolation, ParseError, PatternSpaceTooLarge
 
 #: Full enumeration is refused above this many sites (2**20 ~ 1e6 patterns).
@@ -47,11 +49,11 @@ def enumerate_patterns(n: int, excluded_site: int | None = None) -> list[int]:
         raise InvariantViolation(
             f"excluded_site {excluded_site} out of range for {n} sites"
         )
+    # spread the bits of k = 0 .. 2**(n-1) - 1 apart at position l: the bits
+    # above l move up one place, the bits below stay, and bit l stays clear
+    k = np.arange(1 << (n - 1), dtype=np.int64)
     low_mask = (1 << excluded_site) - 1
-    out = []
-    for k in range(1 << (n - 1)):
-        out.append(((k & ~low_mask) << 1) | (k & low_mask))
-    return out
+    return (((k & ~low_mask) << 1) | (k & low_mask)).tolist()
 
 
 def pattern_to_string(x: int, n: int) -> str:

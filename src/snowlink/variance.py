@@ -19,13 +19,21 @@ the variance of the point estimate itself is ``tau_hat * sigma_sq``, which is
 what the Wald intervals use.  The combined variance for the total is the
 population-share-weighted mixture of the component variances.
 
+:func:`attach_variance` makes one pass per estimate.  It builds the
+method-matched covered-part matrix (``sigma1`` for ``umle``, ``psi1`` for
+``cmle``) and ``sigma2`` once each, analytically or as empirical estimates,
+and derives from them both the scalar variances and the link-parameter
+covariances, which it keeps on the :class:`VarianceReport`.
+:func:`theta_covariances` only returns that stored pair, so it follows the
+variance source and needs :func:`attach_variance` first.
+
 Singular or ill-conditioned matrices are an error: the limit theory assumes
 non-singularity, so a violation must surface rather than be pseudo-inverted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -149,7 +157,7 @@ def _psi1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
     pi0, g0 = model1.zero_prob_and_grad(theta1)
     escape = 1.0 - pi0
     _positive(np.array([escape]), "the escape probability")
-    pats = [x for x in enumerate_patterns(n) if x != 0]
+    pats = enumerate_patterns(n)[1:]
     probs, grads = model1.probs_and_grads(theta1, pats)
     _positive(probs, "a pattern probability")
     tprobs = probs / escape
@@ -193,47 +201,62 @@ def sigma2_inverse(theta2, model2) -> AsymptoticMatrices:
 # Scalar variances of the normalized size errors
 
 
-def sigma1_sq_umle(theta1, model1, n: int, N: int,
-                   sigma1_inv: np.ndarray | None = None) -> float:
-    """Variance of the normalized size error under unconditional fitting.
+def _size_variance(fac: float, pi0: float, g0: np.ndarray, cov: np.ndarray) -> float:
+    return float(fac * (pi0 + fac * (g0 @ cov @ g0)))
 
-    ``sigma1_inv`` may supply a (possibly empirically estimated) joint
-    precision matrix; by default the analytic one is computed.
-    """
-    if sigma1_inv is None:
-        sigma1_inv = sigma1_inverse(theta1, model1, n, N).inverse_form
+
+def _covered_umle(theta1, model1, n: int, N: int, sigma1_inv: np.ndarray):
+    """Scalar variance and parameter covariance of the covered part under
+    unconditional fitting, from a joint precision matrix."""
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
     denom = 1.0 - f * pi0
     sub = sigma1_inv[1:, 1:] - (f / (pi0 * denom)) * np.outer(g0, g0)
-    block_cov, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
-    fac = f / denom
-    return float(fac * (pi0 + fac * (g0 @ block_cov @ g0)))
+    cov, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
+    return _size_variance(f / denom, pi0, g0, cov), cov
 
 
-def sigma1_sq_cmle(theta1, model1, n: int, N: int,
-                   psi1_inv: np.ndarray | None = None) -> float:
-    """Variance of the normalized size error under conditional fitting."""
-    if psi1_inv is None:
-        psi1_inv = psi1_inverse(theta1, model1, n, N).inverse_form
-    cov, _ = _guarded_inverse(psi1_inv, "the conditional parameter precision")
+def _covered_cmle(theta1, model1, n: int, N: int, cov: np.ndarray) -> float:
+    """Scalar variance of the covered part under conditional fitting, from
+    the parameter covariance (the inverse of ``psi1``)."""
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
-    fac = f / (1.0 - f * pi0)
-    return float(fac * (pi0 + fac * (g0 @ cov @ g0)))
+    return _size_variance(f / (1.0 - f * pi0), pi0, g0, cov)
 
 
-def sigma2_sq(theta2, model2, sigma2_inv: np.ndarray | None = None) -> float:
-    """Variance of the normalized size error for the frame-uncovered part
-    (shared by both fitting routes)."""
-    if sigma2_inv is None:
-        sigma2_inv = sigma2_inverse(theta2, model2).inverse_form
+def _uncovered(theta2, model2, sigma2_inv: np.ndarray) -> float:
     pi0, g0 = model2.zero_prob_and_grad(theta2)
     escape = 1.0 - pi0
     sub = sigma2_inv[1:, 1:] - np.outer(g0, g0) / (pi0 * escape)
     block_cov, _ = _guarded_inverse(sub, "the parameter block of the outside covariance")
-    h = 1.0 / escape
-    return float(h * (pi0 + h * (g0 @ block_cov @ g0)))
+    return _size_variance(1.0 / escape, pi0, g0, block_cov)
+
+
+def _psi1_covariance(mats: AsymptoticMatrices) -> np.ndarray:
+    """The inverse of a ``psi1`` matrix: its stored covariance form, or, for
+    an empirical estimate kept without one, the inversion that raises
+    :class:`~snowlink.errors.SingularMatrix` with the reason."""
+    if mats.covariance_form is not None:
+        return mats.covariance_form
+    return _guarded_inverse(mats.inverse_form, "the conditional parameter precision")[0]
+
+
+def sigma1_sq_umle(theta1, model1, n: int, N: int) -> float:
+    """Variance of the normalized size error under unconditional fitting."""
+    sigma1_inv = sigma1_inverse(theta1, model1, n, N).inverse_form
+    return _covered_umle(theta1, model1, n, N, sigma1_inv)[0]
+
+
+def sigma1_sq_cmle(theta1, model1, n: int, N: int) -> float:
+    """Variance of the normalized size error under conditional fitting."""
+    cov = psi1_inverse(theta1, model1, n, N).covariance_form
+    return _covered_cmle(theta1, model1, n, N, cov)
+
+
+def sigma2_sq(theta2, model2) -> float:
+    """Variance of the normalized size error for the frame-uncovered part
+    (shared by both fitting routes)."""
+    return _uncovered(theta2, model2, sigma2_inverse(theta2, model2).inverse_form)
 
 
 def scalar_variances(theta1, model1, theta2, model2, n: int, N: int,
@@ -251,18 +274,20 @@ def scalar_variances(theta1, model1, theta2, model2, n: int, N: int,
 def theta_covariances(report: EstimateReport, data: SampleData, model1, model2):
     """Asymptotic covariance matrices of the link-parameter estimators,
     matched to the report's method (for the covered part) and shared for the
-    uncovered part.  These are covariances of ``sqrt(tau) * error``."""
-    n, N = data.n, data.N
-    if report.method == "umle":
-        si = sigma1_inverse(report.theta1, model1, n, N).inverse_form
-        f = 1.0 - n / N
-        pi0, g0 = model1.zero_prob_and_grad(report.theta1)
-        sub = si[1:, 1:] - (f / (pi0 * (1.0 - f * pi0))) * np.outer(g0, g0)
-        cov1, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
-    else:
-        cov1 = psi1_inverse(report.theta1, model1, n, N).covariance_form
-    cov2 = sigma2_inverse(report.theta2, model2).covariance_form[1:, 1:]
-    return cov1, cov2
+    uncovered part.  These are covariances of ``sqrt(tau) * error``.
+
+    They come from the matrices :func:`attach_variance` built, so they
+    follow its ``source``; ``data`` and the models are not used again.
+    """
+    v = report.variance
+    if v is None:
+        raise DomainError("the report carries no variance estimates yet")
+    if v.theta2_cov is None:
+        raise SingularMatrix(
+            f"the {v.source} sigma2 matrix has no inverse, so the uncovered "
+            "part has no parameter covariance"
+        )
+    return v.theta1_cov, v.theta2_cov
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +399,10 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
 
 @dataclass
 class VarianceReport:
-    """Scalar variances, point-estimate variances, and Wald intervals."""
+    """Scalar variances, point-estimate variances, Wald intervals, and the
+    link-parameter covariances (``q x q``, of ``sqrt(tau) * error``; kept out
+    of :meth:`to_dict`).  ``theta2_cov`` is ``None`` when an empirical
+    ``sigma2`` estimate has no inverse."""
 
     method: str
     source: str
@@ -386,6 +414,8 @@ class VarianceReport:
     var_tau: float
     level: float
     intervals: dict
+    theta1_cov: np.ndarray = field(repr=False, compare=False)
+    theta2_cov: np.ndarray | None = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -406,7 +436,7 @@ def _interval(center: float, variance: float, level: float):
     if variance < 0:
         raise DomainError(f"negative variance {variance}")
     half = ndtri(0.5 * (1.0 + level)) * float(np.sqrt(variance))
-    return (center - half, center + half)
+    return (float(center - half), float(center + half))
 
 
 def _interval_set(tau1: int, tau2: int, s1: float, s2: float, level: float):
@@ -438,37 +468,38 @@ def wald_intervals(report: EstimateReport, level: float = 0.95) -> dict:
 
 def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
                     level: float = 0.95, source: str = "analytic") -> EstimateReport:
-    """Compute method-matched variances and intervals and attach them to the
-    report.  ``source`` picks the analytic matrices or the empirical
-    per-person-vector estimate of the same matrices."""
+    """Compute method-matched variances, intervals and link-parameter
+    covariances and attach them to the report.  ``source`` picks the analytic
+    matrices or the empirical per-person-vector estimate of the same
+    matrices; each of the two matrices is built once."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    n, N = data.n, data.N
-    if source == "analytic":
-        s1, s2 = scalar_variances(report.theta1, model1, report.theta2, model2,
-                                  n, N, report.method)
-    elif source == "empirical_v":
-        if report.method == "umle":
-            m1 = empirical_v_covariance(data, report.theta1, report.tau1,
-                                        model1, "sigma1")
-            s1 = sigma1_sq_umle(report.theta1, model1, n, N,
-                                sigma1_inv=m1.inverse_form)
-        else:
-            m1 = empirical_v_covariance(data, report.theta1, report.tau1,
-                                        model1, "psi1")
-            s1 = sigma1_sq_cmle(report.theta1, model1, n, N,
-                                psi1_inv=m1.inverse_form)
-        m2 = empirical_v_covariance(data, report.theta2, report.tau2,
-                                    model2, "sigma2")
-        s2 = sigma2_sq(report.theta2, model2, sigma2_inv=m2.inverse_form)
-    else:
+    if source not in ("analytic", "empirical_v"):
         raise DomainError(f"unknown variance source {source!r}")
+    n, N = data.n, data.N
+    theta1, theta2 = report.theta1, report.theta2
+    analytic = source == "analytic"
+    if report.method == "umle":
+        m1 = (sigma1_inverse(theta1, model1, n, N) if analytic else
+              empirical_v_covariance(data, theta1, report.tau1, model1, "sigma1"))
+        s1, cov1 = _covered_umle(theta1, model1, n, N, m1.inverse_form)
+    elif report.method == "cmle":
+        m1 = (psi1_inverse(theta1, model1, n, N) if analytic else
+              empirical_v_covariance(data, theta1, report.tau1, model1, "psi1"))
+        cov1 = _psi1_covariance(m1)
+        s1 = _covered_cmle(theta1, model1, n, N, cov1)
+    else:
+        raise DomainError(f"unknown method {report.method!r}")
+    m2 = (sigma2_inverse(theta2, model2) if analytic else
+          empirical_v_covariance(data, theta2, report.tau2, model2, "sigma2"))
+    s2 = _uncovered(theta2, model2, m2.inverse_form)
+    cov2 = None if m2.covariance_form is None else m2.covariance_form[1:, 1:]
     combined, intervals = _interval_set(report.tau1, report.tau2, s1, s2, level)
     report.variance = VarianceReport(
         method=report.method, source=source,
         sigma1_sq=float(s1), sigma2_sq=float(s2), sigma_sq=float(combined),
         var_tau1=float(report.tau1 * s1), var_tau2=float(report.tau2 * s2),
         var_tau=float(report.tau1 * s1 + report.tau2 * s2),
-        level=level, intervals=intervals,
+        level=level, intervals=intervals, theta1_cov=cov1, theta2_cov=cov2,
     )
     return report

@@ -3,7 +3,8 @@ one pass/fail line (run with ``pytest -s`` to see the lines as they pass).
 
 The desk-scale Monte Carlo study behind the consistency and normality
 criteria runs once as a module fixture (500 replicates, both methods,
-fixed master seed) and takes a couple of minutes.
+fixed master seed) and takes a couple of minutes; the two tests that use it
+are marked ``slow``, so ``pytest -m "not slow"`` skips it.
 """
 
 import numpy as np
@@ -77,6 +78,7 @@ def desk_study():
     return run_experiment(config)
 
 
+@pytest.mark.slow
 def test_a1_consistency(desk_study):
     for method in ("umle", "cmle"):
         ms = desk_study.per_method[method]
@@ -90,6 +92,7 @@ def test_a1_consistency(desk_study):
     _report("[A1] consistency of both methods at desk scale: PASS")
 
 
+@pytest.mark.slow
 def test_a2_normality_and_coverage(desk_study):
     for method in ("umle", "cmle"):
         for target in ("tau1", "tau2", "tau"):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -108,3 +109,24 @@ def test_missing_file_exits_nonzero(tmp_path):
     assert main(["estimate", "--data", str(tmp_path / "nope.json"),
                  "--model", str(tmp_path / "nope.json"),
                  "--method", "cmle", "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_experiment_csv_cells_read_back_as_numbers(tmp_path, population_file):
+    config = {
+        "population": json.loads(population_file.read_text()),
+        "replicates": 2,
+        "master_seed": 4,
+    }
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "results"
+    assert main(["experiment", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "replicates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and not any(row["error"] for row in rows)
+    for row in rows:
+        for column, cell in row.items():
+            if column not in ("method", "error"):
+                float(cell)
+        assert float(row["tau_lo"]) <= float(row["tau_hat"]) <= float(row["tau_hi"])

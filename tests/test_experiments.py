@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,3 +115,14 @@ def test_golden_digest_bytes():
     summary = run_experiment(ExperimentConfig(
         population=_population(), replicates=5, master_seed=20240817))
     assert render_digest(summary) == golden.read_text()
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    import snowlink
+
+    src = pathlib.Path(snowlink.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, snowlink; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

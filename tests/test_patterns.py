@@ -44,6 +44,21 @@ def test_enumeration_sizes_and_exclusion(n):
         assert space == sorted(space)
 
 
+def _enumerate_by_loop(n, excluded_site):
+    """The pattern space built one mask at a time, as a reference."""
+    low_mask = (1 << excluded_site) - 1
+    return [((k & ~low_mask) << 1) | (k & low_mask) for k in range(1 << (n - 1))]
+
+
+def test_enumeration_matches_reference_loop():
+    for n in range(1, 11):
+        assert enumerate_patterns(n) == list(range(1 << n))
+        for l in range(n):
+            space = enumerate_patterns(n, excluded_site=l)
+            assert space == _enumerate_by_loop(n, l)
+            assert all(type(x) is int for x in space)
+
+
 def test_enumeration_guard():
     with pytest.raises(PatternSpaceTooLarge):
         enumerate_patterns(21)

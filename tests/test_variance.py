@@ -21,9 +21,10 @@ from snowlink import (
     sigma1_sq_umle,
     sigma2_inverse,
     sigma2_sq,
+    theta_covariances,
     wald_intervals,
 )
-from snowlink.variance import _interval_set
+from snowlink.variance import _guarded_inverse, _interval_set
 
 from conftest import FlatZeroPatternModel, random_model
 
@@ -273,6 +274,7 @@ def test_scalar_variances_dispatch(rng):
     assert s1u != s1c and s2 > 0
 
 
+@pytest.mark.slow
 def test_monte_carlo_variance_oracle():
     # empirical variance of the normalized size error against the analytic
     # values, for both routes
@@ -445,3 +447,113 @@ def test_attach_variance_combined_weighting(rng):
     attach_variance(report, data, model, model, level=0.9, source="empirical_v")
     assert report.variance.source == "empirical_v"
     assert report.variance.sigma1_sq > 0
+
+
+# ---------------------------------------------------------------------------
+# One variance pass per estimate
+
+
+def _theta_covariances_rebuilt(report, data, model1, model2):
+    """The parameter covariances computed from freshly built analytic
+    matrices, formula by formula, as a reference for the stored pair."""
+    n, N = data.n, data.N
+    if report.method == "umle":
+        si = sigma1_inverse(report.theta1, model1, n, N).inverse_form
+        f = 1.0 - n / N
+        pi0, g0 = model1.zero_prob_and_grad(report.theta1)
+        sub = si[1:, 1:] - (f / (pi0 * (1.0 - f * pi0))) * np.outer(g0, g0)
+        cov1, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
+    else:
+        cov1 = psi1_inverse(report.theta1, model1, n, N).covariance_form
+    cov2 = sigma2_inverse(report.theta2, model2).covariance_form[1:, 1:]
+    return cov1, cov2
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+@pytest.mark.parametrize("method", ["umle", "cmle"])
+def test_theta_covariances_bitwise_equal_to_rebuilt_matrices(family, method):
+    n, N = 3, 8
+    if family == "rasch":
+        model = RaschLinkModel(n, quadrature_nodes=40)
+        theta1, theta2 = np.array([-0.7, -0.9, -0.5, 0.8]), np.array([-1.0, -0.8, -1.1, 0.6])
+    else:
+        model = HomogeneousLinkModel(n)
+        theta1, theta2 = np.array([-0.7, -0.9, -0.5]), np.array([-1.0, -0.8, -1.1])
+    data = SampleData(n=n, N=N, m=(40, 35, 50))
+    report = EstimateReport(method=method, tau1_real=600.0, tau1=600,
+                            tau2_real=300.0, tau2=300, theta1=theta1, theta2=theta2)
+    attach_variance(report, data, model, model)
+    cov1, cov2 = theta_covariances(report, data, model, model)
+    ref1, ref2 = _theta_covariances_rebuilt(report, data, model, model)
+    assert cov1.shape == (model.q, model.q) and cov2.shape == (model.q, model.q)
+    assert np.array_equal(cov1, ref1)
+    assert np.array_equal(cov2, ref2)
+    assert "theta1_cov" not in report.variance.to_dict()
+
+
+def test_theta_covariances_requires_variance():
+    report = EstimateReport(method="umle", tau1_real=10.0, tau1=10,
+                            tau2_real=5.0, tau2=5,
+                            theta1=np.zeros(2), theta2=np.zeros(2))
+    data = SampleData(n=2, N=6, m=(3, 3))
+    model = HomogeneousLinkModel(2)
+    with pytest.raises(DomainError):
+        theta_covariances(report, data, model, model)
+
+
+def test_theta_covariances_without_uncovered_inverse_is_singular():
+    report = EstimateReport(method="cmle", tau1_real=10.0, tau1=10,
+                            tau2_real=5.0, tau2=5,
+                            theta1=np.zeros(2), theta2=np.zeros(2))
+    data = SampleData(n=2, N=6, m=(3, 3))
+    model = HomogeneousLinkModel(2)
+    attach_variance(report, data, model, model)
+    report.variance.theta2_cov = None  # as left by a singular empirical sigma2
+    with pytest.raises(SingularMatrix):
+        theta_covariances(report, data, model, model)
+
+
+def test_each_precision_matrix_built_once_per_estimate(monkeypatch):
+    import snowlink.variance as var
+    from snowlink.experiments import ExperimentConfig, _replicate_rows
+    from snowlink.simulator import ConditionalMultinomial, PopulationConfig
+
+    builds = []
+    for name in ("sigma1_inverse", "psi1_inverse", "sigma2_inverse"):
+        original = getattr(var, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            builds.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(var, name, counted)
+    n = 3
+    population = PopulationConfig(
+        N=8, n=n, cluster_mode=ConditionalMultinomial(400), tau2=200,
+        model1=HomogeneousLinkModel(n), model2=HomogeneousLinkModel(n),
+        theta1=np.full(n, logit(0.35)), theta2=np.full(n, logit(0.3)))
+    config = ExperimentConfig(population=population, replicates=1, master_seed=3)
+    rows = _replicate_rows(config, 0)
+    assert [r["error"] for r in rows] == ["", ""]
+    assert sorted(builds) == sorted(["sigma1_inverse", "sigma2_inverse",
+                                     "psi1_inverse", "sigma2_inverse"])
+
+
+def test_empirical_parameter_covariances_past_the_enumeration_guard():
+    # the analytic matrices would need 2**21 patterns; the empirical route
+    # touches observed patterns only, and so do its parameter covariances
+    from snowlink.experiments import ExperimentConfig, run_experiment
+    from snowlink.simulator import ConditionalMultinomial, PopulationConfig
+
+    n = 21
+    population = PopulationConfig(
+        N=60, n=n, cluster_mode=ConditionalMultinomial(2000), tau2=1000,
+        model1=HomogeneousLinkModel(n), model2=HomogeneousLinkModel(n),
+        theta1=np.full(n, logit(0.3)), theta2=np.full(n, logit(0.25)))
+    config = ExperimentConfig(population=population, replicates=1,
+                              methods=("cmle",), master_seed=7,
+                              variance_source="empirical_v")
+    row, = run_experiment(config).rows
+    assert "PatternSpaceTooLarge" not in row["error"]
+    assert row["error"] == ""
+    assert all(row[f"theta{k}_{j}_se"] > 0 for k in (1, 2) for j in range(n))

@@ -2,17 +2,23 @@
 size estimates, an empirical per-person-vector covariance estimator, and Wald
 intervals.
 
-Three precision matrices are available, each computed by enumerating the
-relevant pattern spaces:
+Three precision matrices are available:
 
 * ``sigma1`` - joint (size, parameter) precision for the frame-covered part
   under unconditional fitting, dimension ``q + 1`` with index 0 the size
   coordinate;
 * ``psi1`` - parameter-only precision for the frame-covered part under
-  conditional fitting, dimension ``q``, built from zero-truncated pattern
-  probabilities;
+  conditional fitting, dimension ``q``, the information of the
+  zero-truncated pattern probabilities;
 * ``sigma2`` - joint precision for the frame-uncovered part, dimension
   ``q + 1`` (the same for both fitting routes).
+
+Their parameter blocks are sums of ``grad grad^T / prob`` over a pattern
+space, all taken by :func:`_information`.  For the homogeneous family that
+sum is the closed form ``diag(p (1 - p))``, so any site count works; other
+families enumerate the ``2**n`` patterns, which the enumeration guard limits
+to ``n <= 20``.  The truncated information of ``psi1`` follows from the full
+one, ``I - g0 g0^T / (pi0 (1 - pi0))``.
 
 Scalar variances refer to the normalized errors ``(tau_hat - tau)/sqrt(tau)``;
 the variance of the point estimate itself is ``tau_hat * sigma_sq``, which is
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import ndtri
+from scipy.special import expit, log_expit, ndtri
 
 from .errors import (
     DegenerateDenominator,
@@ -48,6 +54,7 @@ from .errors import (
     SingularMatrix,
 )
 from .estimators import EstimateReport
+from .link_model import HomogeneousLinkModel
 from .patterns import SampleData, enumerate_patterns
 
 CONDITION_LIMIT = 1e12
@@ -104,7 +111,7 @@ def _finish(which: str, M: np.ndarray, require_inverse: bool = True) -> Asymptot
 
 def _positive(probs, what):
     if np.any(probs <= 0.0) or np.any(~np.isfinite(probs)):
-        raise NonFiniteLikelihood(f"{what} vanished during enumeration")
+        raise NonFiniteLikelihood(f"{what} vanished")
 
 
 def _check_design(model, n: int, N: int):
@@ -114,14 +121,47 @@ def _check_design(model, n: int, N: int):
         raise DomainError(f"need 1 <= n <= N, got n={n}, N={N}")
 
 
+def _information(theta, model, within_site=None) -> np.ndarray:
+    """The per-pattern information sum over a pattern space: over all ``2**n``
+    between-site patterns, or over site ``within_site``'s within-site space.
+
+    For the homogeneous family the patterns are ``n`` independent Bernoulli
+    links, so the sum is ``diag(p (1 - p))`` with ``p = expit(theta)``, and
+    entry ``within_site`` is zero because that site's factor is skipped.
+    Every other family enumerates the space.  Either way a pattern whose
+    probability underflows is an error.
+    """
+    if within_site is None:
+        what = "a pattern probability"
+    else:
+        what = f"a within-site pattern probability (site {within_site})"
+    if isinstance(model, HomogeneousLinkModel):
+        theta = model.validate_theta(theta)
+        active = np.ones(model.n, dtype=bool)
+        if within_site is not None:
+            active[within_site] = False
+        # the least likely pattern takes the less likely outcome at every site
+        least = np.exp(log_expit(-np.abs(theta[active])).sum())
+        _positive(np.array([least]), what)
+        p = expit(theta)
+        return np.diag(np.where(active, p * (1.0 - p), 0.0))
+    pats = enumerate_patterns(model.n, excluded_site=within_site)
+    probs, grads = model.probs_and_grads(theta, pats, within_site=within_site)
+    _positive(probs, what)
+    return (grads.T / probs) @ grads
+
+
+def _truncated(info: np.ndarray, pi0: float, g0: np.ndarray) -> np.ndarray:
+    """The information of a zero-truncated pattern draw, from the information
+    ``info`` of the full draw: ``info - g0 g0^T / (pi0 (1 - pi0))``."""
+    return info - np.outer(g0, g0) / (pi0 * (1.0 - pi0))
+
+
 def _within_information(theta, model, N: int) -> np.ndarray:
     """Sum over sites of the within-site information blocks, weighted 1/N."""
     blk = np.zeros((model.q, model.q))
     for l in range(model.n):
-        pats = enumerate_patterns(model.n, excluded_site=l)
-        probs, grads = model.probs_and_grads(theta, pats, within_site=l)
-        _positive(probs, f"a within-site pattern probability (site {l})")
-        blk += (grads.T / probs) @ grads / N
+        blk += _information(theta, model, within_site=l) / N
     return blk
 
 
@@ -134,20 +174,18 @@ def _sigma1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
             "the size-size entry divides by (1 - n/N) * pi0; it vanishes for a "
             f"full-frame design or a zero-mass empty pattern (got {f * pi0:.3e})"
         )
-    pats = enumerate_patterns(n)
-    probs, grads = model1.probs_and_grads(theta1, pats)
-    _positive(probs, "a pattern probability")
     q = model1.q
     M = np.empty((q + 1, q + 1))
     M[0, 0] = (1.0 - f * pi0) / (f * pi0)
     M[0, 1:] = M[1:, 0] = -g0 / pi0
-    M[1:, 1:] = f * (grads.T / probs) @ grads + _within_information(theta1, model1, N)
+    M[1:, 1:] = f * _information(theta1, model1) + _within_information(theta1, model1, N)
     return M
 
 
 def sigma1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
     """Joint (size, parameter) precision for the frame-covered part under
-    unconditional fitting, by enumeration of both pattern spaces."""
+    unconditional fitting, from the between-site and within-site
+    information."""
     return _finish("sigma1", _sigma1_precision(theta1, model1, n, N))
 
 
@@ -155,14 +193,8 @@ def _psi1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
     _check_design(model1, n, N)
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
-    escape = 1.0 - pi0
-    _positive(np.array([escape]), "the escape probability")
-    pats = enumerate_patterns(n)[1:]
-    probs, grads = model1.probs_and_grads(theta1, pats)
-    _positive(probs, "a pattern probability")
-    tprobs = probs / escape
-    tgrads = grads / escape + np.outer(probs, g0) / escape**2
-    M = f * escape * (tgrads.T / tprobs) @ tgrads
+    _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
+    M = f * _truncated(_information(theta1, model1), pi0, g0)
     M += _within_information(theta1, model1, N)
     return M
 
@@ -176,14 +208,11 @@ def psi1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
 def _sigma2_precision(theta2, model2) -> np.ndarray:
     pi0, g0 = model2.zero_prob_and_grad(theta2)
     _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
-    pats = enumerate_patterns(model2.n)
-    probs, grads = model2.probs_and_grads(theta2, pats)
-    _positive(probs, "a pattern probability")
     q = model2.q
     M = np.empty((q + 1, q + 1))
     M[0, 0] = (1.0 - pi0) / pi0
     M[0, 1:] = M[1:, 0] = -g0 / pi0
-    M[1:, 1:] = (grads.T / probs) @ grads
+    M[1:, 1:] = _information(theta2, model2)
     return M
 
 
@@ -226,10 +255,9 @@ def _covered_cmle(theta1, model1, n: int, N: int, cov: np.ndarray) -> float:
 
 def _uncovered(theta2, model2, sigma2_inv: np.ndarray) -> float:
     pi0, g0 = model2.zero_prob_and_grad(theta2)
-    escape = 1.0 - pi0
-    sub = sigma2_inv[1:, 1:] - np.outer(g0, g0) / (pi0 * escape)
+    sub = _truncated(sigma2_inv[1:, 1:], pi0, g0)
     block_cov, _ = _guarded_inverse(sub, "the parameter block of the outside covariance")
-    return _size_variance(1.0 / escape, pi0, g0, block_cov)
+    return _size_variance(1.0 / (1.0 - pi0), pi0, g0, block_cov)
 
 
 def _psi1_covariance(mats: AsymptoticMatrices) -> np.ndarray:

@@ -8,6 +8,8 @@ from snowlink import (
     EstimateReport,
     HomogeneousLinkModel,
     InsufficientData,
+    NonFiniteLikelihood,
+    PatternSpaceTooLarge,
     RaschLinkModel,
     SampleData,
     SingularMatrix,
@@ -215,6 +217,119 @@ def test_zero_spread_boundary_is_singular():
     theta = np.array([0.1, -0.4, 0.0])
     with pytest.raises(SingularMatrix):
         sigma1_inverse(theta, model, 2, 5)
+
+
+# ---------------------------------------------------------------------------
+# Pattern information: the homogeneous closed form and the psi1 identity
+
+
+def enumerated_information(theta, model, within_site=None):
+    """Reference sum of grad grad^T / prob over an enumerated pattern space."""
+    pats = enumerate_patterns(model.n, excluded_site=within_site)
+    probs, grads = model.probs_and_grads(theta, pats, within_site=within_site)
+    return (grads.T / probs) @ grads
+
+
+def psi1_precision_zero_truncated(theta, model, n, N):
+    """Reference ``psi1``: the information of the zero-truncated probabilities
+    over the enumerated nonzero patterns, plus the within-site blocks."""
+    f = 1.0 - n / N
+    pi0, g0 = model.zero_prob_and_grad(theta)
+    escape = 1.0 - pi0
+    probs, grads = model.probs_and_grads(theta, enumerate_patterns(n)[1:])
+    tprobs = probs / escape
+    tgrads = grads / escape + np.outer(probs, g0) / escape**2
+    M = f * escape * (tgrads.T / tprobs) @ tgrads
+    for l in range(n):
+        M += enumerated_information(theta, model, within_site=l) / N
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_homogeneous_information_equals_enumerated_sum(n):
+    from snowlink.variance import _information
+
+    model = HomogeneousLinkModel(n)
+    theta = np.random.default_rng(70 + n).uniform(-3.0, 3.0, n)
+    for site in [None, *range(n)]:
+        closed = _information(theta, model, within_site=site)
+        reference = enumerated_information(theta, model, within_site=site)
+        np.testing.assert_allclose(closed, reference, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_psi1_truncation_identity_equals_zero_truncated_sum(family, n):
+    rng = np.random.default_rng(40 + n)
+    if family == "rasch":
+        model = RaschLinkModel(n, quadrature_nodes=40)
+        theta = np.append(rng.uniform(-2.0, 1.0, n), 0.9)
+    else:
+        model = HomogeneousLinkModel(n)
+        theta = rng.uniform(-2.0, 1.0, n)
+    N = n + 5
+    M = psi1_inverse(theta, model, n, N).inverse_form
+    np.testing.assert_allclose(M, psi1_precision_zero_truncated(theta, model, n, N),
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_homogeneous_variances_enumerate_nothing(monkeypatch):
+    import snowlink.variance as var
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the homogeneous family enumerated a pattern space")
+
+    monkeypatch.setattr(var, "enumerate_patterns", refuse)
+    n = 3
+    model = HomogeneousLinkModel(n)
+    data = SampleData(n=n, N=8, m=(40, 35, 50))
+    for method in ("umle", "cmle"):
+        report = EstimateReport(method=method, tau1_real=600.0, tau1=600,
+                                tau2_real=300.0, tau2=300,
+                                theta1=np.array([-0.7, -0.9, -0.5]),
+                                theta2=np.array([-1.0, -0.8, -1.1]))
+        attach_variance(report, data, model, model)
+        assert report.variance.sigma1_sq > 0 and report.variance.sigma2_sq > 0
+
+
+@pytest.mark.parametrize("v, expected", [
+    (800.0, (DegenerateDenominator, NonFiniteLikelihood, NonFiniteLikelihood)),
+    (-800.0, (NonFiniteLikelihood, NonFiniteLikelihood, NonFiniteLikelihood)),
+    (40.0, (DegenerateDenominator, SingularMatrix, SingularMatrix)),
+    (-40.0, (SingularMatrix, SingularMatrix, SingularMatrix)),
+])
+def test_extreme_logits_raise_as_under_enumeration(v, expected):
+    # exp(-800) underflows, so enumeration met a vanished pattern probability
+    # (or a vanished pi0 at v = 800); exp(-40) does not, but leaves the
+    # matrices singular to working precision
+    model = HomogeneousLinkModel(4)
+    theta = np.array([v, -1.0, -1.0, -1.0])
+    builders = (lambda: sigma1_inverse(theta, model, 4, 10),
+                lambda: psi1_inverse(theta, model, 4, 10),
+                lambda: sigma2_inverse(theta, model))
+    for build, exc in zip(builders, expected):
+        with pytest.raises(exc):
+            build()
+
+
+def test_analytic_variances_past_the_enumeration_guard():
+    from snowlink.experiments import ExperimentConfig, run_experiment
+    from snowlink.simulator import ConditionalMultinomial, PopulationConfig
+
+    n = 21
+    population = PopulationConfig(
+        N=60, n=n, cluster_mode=ConditionalMultinomial(2000), tau2=1000,
+        model1=HomogeneousLinkModel(n), model2=HomogeneousLinkModel(n),
+        theta1=np.full(n, logit(0.3)), theta2=np.full(n, logit(0.25)))
+    config = ExperimentConfig(population=population, replicates=1, master_seed=7)
+    rows = run_experiment(config).rows
+    assert [r["method"] for r in rows] == ["umle", "cmle"]
+    assert [r["error"] for r in rows] == ["", ""]
+    assert all(r["sigma1_sq"] > 0 and r["sigma2_sq"] > 0 for r in rows)
+    # the other families still enumerate, and keep the guard
+    rasch = RaschLinkModel(n, quadrature_nodes=20)
+    with pytest.raises(PatternSpaceTooLarge):
+        sigma2_inverse(np.append(np.full(n, -1.0), 0.5), rasch)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,8 @@ from .experiments import (
 from .likelihood import (
     LogLikTerms,
     loglik_2,
-    loglik_binom_12,
     loglik_cond_1,
     loglik_full_1,
-    multinomial_cluster_loglik,
 )
 from .link_model import (
     HomogeneousLinkModel,

@@ -1,11 +1,19 @@
 """Unconditional and conditional maximum-likelihood estimators.
 
+Both parts of the population are fitted by one function,
+:func:`fit_component`, on a :class:`~snowlink.patterns.Component` view: the
+frame-uncovered part is the frame-covered one with no sites and escape
+factor ``f = 1``.  :func:`fit_total` fits the two parts of a sample with one
+method.
+
 The conditional route maximizes the size-free likelihood in the link
-parameters first and then recovers the size estimate from a closed-form ratio
-threshold.  The unconditional route alternates the floored ratio threshold (a
-size step, exact along the size direction) with a parameter ascent on the
-joint likelihood at that size, stopping at the simultaneous fixed point; the
-pair is never maximized jointly in one solve.
+parameters first and then recovers the size estimate from the closed-form
+ratio ``(m + r) / (1 - f pi0)``.  The unconditional route alternates the
+floored ratio threshold (a size step, exact along the size direction) with a
+parameter ascent on the joint likelihood at that size, stopping at the
+simultaneous fixed point; the pair is never maximized jointly in one solve.
+Without a given start it begins at the conditional fit, and its iteration
+count includes that fit's iterations.
 
 Likelihood evaluations treat the size as continuous through log-gamma, and
 the reported estimate keeps both the continuous ratio value and its floor.
@@ -33,8 +41,10 @@ from .errors import (
     SnowlinkError,
     Unidentifiable,
 )
-from .likelihood import loglik_2, loglik_cond_1, loglik_full_1
-from .patterns import SampleData
+from .likelihood import loglik_cond, loglik_full
+# not called here: mcbench/tracing.py rebinds these per-part names on this module
+from .likelihood import loglik_2, loglik_cond_1, loglik_full_1  # noqa: F401
+from .patterns import Component, SampleData
 
 
 @dataclass
@@ -46,7 +56,6 @@ class FitOptions:
     max_sweeps: int = 500
     init_theta1: Optional[np.ndarray] = None
     init_theta2: Optional[np.ndarray] = None
-    n_starts: int = 1
 
 
 @dataclass
@@ -113,24 +122,29 @@ def _floor_guarded(x: float) -> int:
     return math.floor(x * (1.0 + 4.0 * np.finfo(float).eps))
 
 
-def tau1_closed_form(m: int, r1: int, n: int, N: int, pi0: float):
-    """Ratio-method size estimate for the frame-covered part.
+def _closed_form(m: int, r: int, f: float, pi0: float):
+    """Ratio-method size estimate of one part.
 
-    Returns the continuous value ``(m + r1) / [1 - (1 - n/N) pi0]`` and its
-    floor.  The floor never falls below ``m + r1`` because the denominator
-    lies in (0, 1].
+    Returns the continuous value ``(m + r) / (1 - f pi0)`` and its floor.
+    The floor never falls below ``m + r`` because the denominator lies in
+    (0, 1].
     """
     if not 0.0 <= pi0 <= 1.0:
         raise DomainError(f"zero-pattern probability {pi0} outside [0, 1]")
-    denom = 1.0 - (1.0 - n / N) * pi0
+    denom = 1.0 - f * pi0
     if denom <= 1e-12:
         raise DegenerateDenominator(
-            f"1 - (1 - n/N) * pi0 = {denom:.3e}: size estimate unbounded"
+            f"1 - f * pi0 = {denom:.3e} with f = {f}: size estimate unbounded"
         )
-    real = (m + r1) / denom
+    real = (m + r) / denom
     floor = _floor_guarded(real)
-    assert floor >= m + r1
+    assert floor >= m + r
     return real, floor
+
+
+def tau1_closed_form(m: int, r1: int, n: int, N: int, pi0: float):
+    """The closed-form size of the frame-covered part, where ``f = 1 - n/N``."""
+    return _closed_form(m, r1, 1.0 - n / N, pi0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +264,21 @@ def _link_fractions(links, at_risk):
     return out
 
 
-def empirical_initial_theta(data: SampleData, model, which: int) -> np.ndarray:
+def empirical_initial_theta(comp: Component, model) -> np.ndarray:
     """Per-site empirical link logits (observed links over observed people at
     risk), extended by a spread of 0.5 for the random-effect family."""
-    n = data.n
+    n = model.n
     links = np.zeros(n)
     at_risk = np.zeros(n)
-    if which == 1:
-        r1 = data.r1
-        for i in range(n):
-            links[i] += sum(c for x, c in data.between1.items() if (x >> i) & 1)
-            at_risk[i] += r1
-            for l in range(n):
-                if l == i:
-                    continue
-                links[i] += sum(c for x, c in data.within[l].items() if (x >> i) & 1)
-                at_risk[i] += data.m[l]
-    else:
-        r2 = data.r2
-        for i in range(n):
-            links[i] += sum(c for x, c in data.between2.items() if (x >> i) & 1)
-            at_risk[i] += r2
+    r = comp.r
+    for i in range(n):
+        links[i] += sum(c for x, c in comp.between.items() if (x >> i) & 1)
+        at_risk[i] += r
+        for l, (counts, size) in enumerate(zip(comp.within, comp.m)):
+            if l == i:
+                continue
+            links[i] += sum(c for x, c in counts.items() if (x >> i) & 1)
+            at_risk[i] += size
     site_logits = _safe_logit(_link_fractions(links, at_risk))
     if getattr(model, "family", None) == "rasch":
         return np.concatenate([site_logits, [0.5]])
@@ -285,62 +293,34 @@ def _lower_bounds(model):
     return None
 
 
-def _solve(fg, theta0, model, options: FitOptions) -> _OptResult:
-    lower = _lower_bounds(model)
-    best = _maximize(fg, theta0, lower, options.score_tol, options.max_iter)
-    for k in range(1, options.n_starts):
-        # deterministic extra starts around the initializer
-        rng = np.random.default_rng(k)
-        alt = _maximize(fg, theta0 + rng.normal(0.0, 0.5, size=len(theta0)),
-                        lower, options.score_tol, options.max_iter)
-        if alt.converged and (not best.converged or alt.value > best.value):
-            best = alt
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Fits
 
 
-def fit_cmle_1(data: SampleData, model1, options: FitOptions | None = None) -> ComponentFit:
-    """Conditional fit for the frame-covered part: parameters from the
-    size-free likelihood, then the size from the closed form."""
-    options = options or FitOptions()
-    theta0 = (np.asarray(options.init_theta1, dtype=float)
-              if options.init_theta1 is not None
-              else empirical_initial_theta(data, model1, which=1))
-
-    def fg(th):
-        terms = loglik_cond_1(data, th, model1)
-        return terms.value, terms.grad_theta
-
-    res = _solve(fg, theta0, model1, options)
-    if not res.converged:
-        raise NoConvergence(
-            f"conditional parameter solve stalled after {res.iterations} iterations "
-            f"(score {np.max(np.abs(res.grad)):.2e})"
-        )
-    pi0, _ = model1.zero_prob_and_grad(res.theta)
-    tau_real, tau_floor = tau1_closed_form(data.m_total, data.r1, data.n, data.N, pi0)
-    return ComponentFit(theta=res.theta, tau_real=tau_real, tau=tau_floor,
-                        iterations=res.iterations, sweeps=0,
-                        grad_norm=float(np.max(np.abs(res.grad))), converged=True)
-
-
-def _integer_size_ascent(fg_at, closed_real, theta0, size_min, lower,
-                         options: FitOptions, label: str):
+def _integer_size_ascent(comp: Component, model, theta0, options: FitOptions):
     """Block ascent on (integer size, parameters).
 
-    ``fg_at(size)`` yields the joint log-likelihood (value, gradient) in the
-    parameters at a fixed size; ``closed_real(theta)`` is the continuous
-    ratio-method size.  The floored ratio value is the exact integer
-    maximizer of the joint likelihood in the size direction, so alternating
-    it with a parameter ascent increases the likelihood monotonically.  At a
-    fixed point the two adjacent sizes are probed as well: a coordinatewise
-    optimum need not be the joint one, and a strictly better neighbour
-    restarts the ascent.  Returns (theta, size, continuous size, iterations,
-    sweeps, score norm).
+    The floored ratio value is the exact integer maximizer of the joint
+    likelihood in the size direction, so alternating it with a parameter
+    ascent on the joint likelihood at that size increases the likelihood
+    monotonically.  At a fixed point the two adjacent sizes are probed as
+    well: a coordinatewise optimum need not be the joint one, and a strictly
+    better neighbour restarts the ascent.  Returns (theta, size, continuous
+    size, iterations, sweeps, score norm).
     """
+    lower = _lower_bounds(model)
+    size_min = comp.m_total + comp.r
+
+    def fg_at(tau_int):
+        def fg(th):
+            terms = loglik_full(comp, float(tau_int), th, model)
+            return terms.value, terms.grad_theta
+        return fg
+
+    def closed_real(th):
+        pi0, _ = model.zero_prob_and_grad(th)
+        return _closed_form(comp.m_total, comp.r, comp.f, pi0)[0]
+
     theta = np.asarray(theta0, dtype=float)
     tau_int = max(_floor_guarded(closed_real(theta)), size_min)
     total_iter = 0
@@ -350,11 +330,12 @@ def _integer_size_ascent(fg_at, closed_real, theta0, size_min, lower,
                         options.score_tol, options.max_iter)
         total_iter += res.iterations
         if not res.converged:
-            raise NoConvergence(f"{label}: parameter step stalled in sweep {sweep}")
+            raise NoConvergence(
+                f"size/parameter alternation: parameter step stalled in sweep {sweep}")
         if res.value < best - 1e-9:
             raise OscillationDetected(
-                f"{label}: alternation stopped increasing the joint likelihood "
-                f"in sweep {sweep}"
+                "size/parameter alternation stopped increasing the joint "
+                f"likelihood in sweep {sweep}"
             )
         theta, best = res.theta, res.value
         tau_real = closed_real(theta)
@@ -378,93 +359,79 @@ def _integer_size_ascent(fg_at, closed_real, theta0, size_min, lower,
         score_norm = float(np.max(np.abs(
             _projected_grad(res.grad, theta, lower))))
         return theta, tau_int, closed_real(theta), total_iter, sweep, score_norm
-    raise NoConvergence(f"{label}: unconverged after {options.max_sweeps} sweeps")
+    raise NoConvergence(
+        f"size/parameter alternation unconverged after {options.max_sweeps} sweeps")
+
+
+def fit_component(comp: Component, model, method: str, theta0=None,
+                  options: FitOptions | None = None) -> ComponentFit:
+    """Fit one part of the population with the requested method.
+
+    ``cmle`` maximizes the conditional likelihood from ``theta0`` (default:
+    the empirical link logits) and takes the size from the closed form.
+    ``umle`` runs the block ascent over the integer size and the parameters
+    from ``theta0``; without one it starts at the conditional fit and counts
+    that fit's iterations.  The result solves the simultaneous
+    score/threshold system and attains the scanned joint maximum on
+    well-behaved instances.
+    """
+    if method not in ("umle", "cmle"):
+        raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
+    options = options or FitOptions()
+    if comp.r == 0 and not any(comp.within):
+        raise Unidentifiable("no link-traced people: the link parameters are not identified")
+    iterations = 0
+    if method == "cmle" or theta0 is None:
+        start = (empirical_initial_theta(comp, model) if theta0 is None
+                 else np.asarray(theta0, dtype=float))
+
+        def fg(th):
+            terms = loglik_cond(comp, th, model)
+            return terms.value, terms.grad_theta
+
+        res = _maximize(fg, start, _lower_bounds(model),
+                        options.score_tol, options.max_iter)
+        if not res.converged:
+            raise NoConvergence(
+                f"conditional parameter solve stalled after {res.iterations} iterations "
+                f"(score {np.max(np.abs(res.grad)):.2e})"
+            )
+        if method == "cmle":
+            pi0, _ = model.zero_prob_and_grad(res.theta)
+            tau_real, tau = _closed_form(comp.m_total, comp.r, comp.f, pi0)
+            return ComponentFit(theta=res.theta, tau_real=tau_real, tau=tau,
+                                iterations=res.iterations, sweeps=0,
+                                grad_norm=float(np.max(np.abs(res.grad))),
+                                converged=True)
+        theta0, iterations = res.theta, res.iterations
+    theta, tau, tau_real, iters, sweeps, score_norm = _integer_size_ascent(
+        comp, model, theta0, options)
+    return ComponentFit(theta=theta, tau_real=tau_real, tau=tau,
+                        iterations=iterations + iters, sweeps=sweeps,
+                        grad_norm=score_norm, converged=True)
+
+
+# Per-part entry points: kept for callers of the per-part API, and because
+# mcbench/tracing.py rebinds these names on this module.
+
+def _init(options: FitOptions | None, part: int):
+    return None if options is None else getattr(options, f"init_theta{part}")
+
+
+def fit_cmle_1(data: SampleData, model1, options: FitOptions | None = None) -> ComponentFit:
+    """:func:`fit_component` with ``cmle`` on the frame-covered part."""
+    return fit_component(data.covered, model1, "cmle", _init(options, 1), options)
 
 
 def fit_umle_1(data: SampleData, model1, options: FitOptions | None = None) -> ComponentFit:
-    """Unconditional fit: block ascent over the integer size (via the floored
-    ratio threshold) and the parameters (Newton ascent on the joint
-    likelihood at that size), with adjacent-size probing at fixed points.
-    The result solves the simultaneous score/threshold system and attains
-    the scanned joint maximum on well-behaved instances."""
-    options = options or FitOptions()
-    if options.init_theta1 is not None:
-        theta0 = np.asarray(options.init_theta1, dtype=float)
-    else:
-        theta0 = fit_cmle_1(data, model1, options).theta
-    m, r1 = data.m_total, data.r1
-
-    def fg_at(tau_int):
-        def fg(th):
-            terms = loglik_full_1(data, float(tau_int), th, model1)
-            return terms.value, terms.grad_theta
-        return fg
-
-    def closed_real(th):
-        pi0, _ = model1.zero_prob_and_grad(th)
-        return tau1_closed_form(m, r1, data.n, data.N, pi0)[0]
-
-    theta, tau_int, tau_real, iters, sweeps, score_norm = _integer_size_ascent(
-        fg_at, closed_real, theta0, m + r1, _lower_bounds(model1), options,
-        "frame-covered size/parameter alternation",
-    )
-    return ComponentFit(theta=theta, tau_real=tau_real, tau=tau_int,
-                        iterations=iters, sweeps=sweeps,
-                        grad_norm=score_norm, converged=True)
+    """:func:`fit_component` with ``umle`` on the frame-covered part."""
+    return fit_component(data.covered, model1, "umle", _init(options, 1), options)
 
 
 def fit_2(data: SampleData, model2, method: str,
           options: FitOptions | None = None) -> ComponentFit:
-    """Fit the frame-uncovered part with the requested method."""
-    options = options or FitOptions()
-    if data.r2 == 0:
-        raise Unidentifiable("no people observed outside the frame (r2 = 0)")
-    theta0 = (np.asarray(options.init_theta2, dtype=float)
-              if options.init_theta2 is not None
-              else empirical_initial_theta(data, model2, which=2))
-    lower = _lower_bounds(model2)
-
-    def fg_cond(th):
-        terms = loglik_2(data, 0.0, th, model2, conditional=True)
-        return terms.value, terms.grad_theta
-
-    res = _solve(fg_cond, theta0, model2, options)
-    if not res.converged:
-        raise NoConvergence("conditional parameter solve for the outside part stalled")
-    theta = res.theta
-    total_iter = res.iterations
-    r2 = data.r2
-
-    def tau2_of(th):
-        pi0, _ = model2.zero_prob_and_grad(th)
-        denom = 1.0 - pi0
-        if denom <= 1e-12:
-            raise DegenerateDenominator(
-                f"1 - pi0 = {denom:.3e} for the outside part: size estimate unbounded"
-            )
-        return r2 / denom
-
-    if method == "cmle":
-        tau_real = tau2_of(theta)
-        return ComponentFit(theta=theta, tau_real=tau_real, tau=_floor_guarded(tau_real),
-                            iterations=total_iter, sweeps=0,
-                            grad_norm=float(np.max(np.abs(res.grad))), converged=True)
-    if method != "umle":
-        raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
-
-    def fg_at(tau_int):
-        def fg(th):
-            terms = loglik_2(data, float(tau_int), th, model2)
-            return terms.value, terms.grad_theta
-        return fg
-
-    theta, tau_int, tau_real, iters, sweeps, score_norm = _integer_size_ascent(
-        fg_at, tau2_of, theta, r2, lower, options,
-        "outside-frame size/parameter alternation",
-    )
-    return ComponentFit(theta=theta, tau_real=tau_real, tau=tau_int,
-                        iterations=total_iter + iters, sweeps=sweeps,
-                        grad_norm=score_norm, converged=True)
+    """:func:`fit_component` on the frame-uncovered part."""
+    return fit_component(data.uncovered, model2, method, _init(options, 2), options)
 
 
 def fit_total(data: SampleData, model1, model2, method: str,
@@ -477,23 +444,21 @@ def fit_total(data: SampleData, model1, model2, method: str,
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
     options = options or FitOptions()
-    try:
-        fit1 = (fit_umle_1 if method == "umle" else fit_cmle_1)(data, model1, options)
-    except SnowlinkError as exc:
-        raise type(exc)(f"frame-covered component: {exc}") from exc
-    try:
-        fit2 = fit_2(data, model2, method, options)
-    except SnowlinkError as exc:
-        raise type(exc)(f"outside-frame component: {exc}") from exc
+    parts = (("covered", "frame-covered component", data.covered, model1,
+              options.init_theta1),
+             ("uncovered", "outside-frame component", data.uncovered, model2,
+              options.init_theta2))
+    fits = {}
+    for key, label, comp, model, theta0 in parts:
+        try:
+            fits[key] = fit_component(comp, model, method, theta0, options)
+        except SnowlinkError as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
+    fit1, fit2 = fits["covered"], fits["uncovered"]
     diagnostics = {
-        "covered": {
-            "iterations": fit1.iterations, "sweeps": fit1.sweeps,
-            "grad_norm": fit1.grad_norm, "converged": fit1.converged,
-        },
-        "uncovered": {
-            "iterations": fit2.iterations, "sweeps": fit2.sweeps,
-            "grad_norm": fit2.grad_norm, "converged": fit2.converged,
-        },
+        key: {"iterations": fit.iterations, "sweeps": fit.sweeps,
+              "grad_norm": fit.grad_norm, "converged": fit.converged}
+        for key, fit in fits.items()
     }
     return EstimateReport(
         method=method,

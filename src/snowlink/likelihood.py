@@ -1,13 +1,22 @@
-"""Log-likelihood components and their parameter gradients.
+"""Log-likelihood of one population part and its parameter gradient.
+
+Both parts are read through :class:`~snowlink.patterns.Component`.  The
+frame-uncovered part is the frame-covered one with no sites and escape factor
+``f = 1``, so each likelihood is written once: :func:`loglik_full` in the size
+and the parameters, and :func:`loglik_cond`, the size-free zero-truncated
+multinomial over the outside-linked people times the within-site tables.
+``loglik_full_1``, ``loglik_cond_1`` and ``loglik_2`` apply them to one part
+of a :class:`~snowlink.patterns.SampleData`.
 
 All values are on the log scale with additive data-only constants dropped
-(factorials of observed counts, and the ``m * log(1 - n/N)`` piece of the
+(factorials of observed counts, and the ``m * log f`` piece of the
 cluster-sampling factor, so the boundary design ``n == N`` stays finite).
-The dropped constants are fixed per component so that the exact factorization
+The dropped constants are fixed so that the exact factorization
 
     full = cluster + conditional + binomial-escape
 
-holds identically for the frame-covered part; tests assert differences only,
+holds identically for the frame-covered part; the tests check it against
+reference cluster and binomial-escape factors, asserting differences only,
 never absolute levels.  Sizes are treated as continuous through log-gamma;
 callers floor them at reporting time.
 
@@ -25,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, NonFiniteLikelihood, Unidentifiable
-from .patterns import SampleData
+from .patterns import Component, SampleData
 
 #: Probabilities below this are treated as an underflow, not a valid value.
 PI_FLOOR = 1e-300
@@ -33,12 +42,10 @@ PI_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class LogLikTerms:
-    """One likelihood component: log value, gradient in the link parameters,
-    and a tag naming which component it is."""
+    """A log-likelihood value and its gradient in the link parameters."""
 
     value: float
     grad_theta: np.ndarray
-    which: str
 
 
 def _require_positive(probs, what: str):
@@ -60,15 +67,15 @@ def _counted_terms(model, theta, counts, within_site=None):
     return value, grad
 
 
-def _within_terms(data: SampleData, theta, model):
+def _within_terms(comp: Component, theta, model):
     """Within-site contributions, including each site's derived zero-pattern count."""
     value = 0.0
     grad = np.zeros(model.q)
-    for l in range(data.n):
-        v, g = _counted_terms(model, theta, data.within[l], within_site=l)
+    for l, (counts, size) in enumerate(zip(comp.within, comp.m)):
+        v, g = _counted_terms(model, theta, counts, within_site=l)
         value += v
         grad += g
-        unlinked = data.m[l] - sum(data.within[l].values())
+        unlinked = size - sum(counts.values())
         if unlinked > 0:
             probs, grads = model.probs_and_grads(theta, [0], within_site=l)
             _require_positive(probs, f"the zero-pattern probability within site {l}")
@@ -77,111 +84,61 @@ def _within_terms(data: SampleData, theta, model):
     return value, grad
 
 
-def multinomial_cluster_loglik(tau1: float, m_total: int, n: int, N: int) -> float:
-    """Size-dependent part of the cluster-sampling log-probability.
+def loglik_full(comp: Component, tau: float, theta, model) -> LogLikTerms:
+    """Joint log-likelihood of (size, parameters) for one part.
 
-    Uses the exponent ``tau1 - m`` on ``1 - n/N`` (the remainder is a data-only
-    constant), so the full-frame design ``n == N`` evaluates to 0 at
-    ``tau1 == m`` instead of an indeterminate form.
-    """
-    if tau1 < m_total:
-        raise DomainError(f"size {tau1} below the number of people found in sites {m_total}")
-    return float(
-        gammaln(tau1 + 1.0) - gammaln(tau1 - m_total + 1.0)
-        + xlogy(tau1 - m_total, 1.0 - n / N)
-    )
-
-
-def loglik_full_1(data: SampleData, tau1: float, theta1, model1) -> LogLikTerms:
-    """Joint log-likelihood of (size, parameters) for the frame-covered part.
-
-    ``tau1`` may be non-integer; it must be at least ``m + r1`` so that the
+    ``tau`` may be non-integer; it must be at least ``m + r`` so that the
     derived count of unobserved people is nonnegative.
     """
-    m, r1 = data.m_total, data.r1
-    if tau1 < m + r1:
-        raise DomainError(f"tau1={tau1} is below m + r1 = {m + r1}")
-    unobserved = tau1 - m - r1
-    value = float(gammaln(tau1 + 1.0) - gammaln(unobserved + 1.0)
-                  + xlogy(tau1 - m, 1.0 - data.n / data.N))
-    v, grad = _counted_terms(model1, theta1, data.between1)
+    m, r = comp.m_total, comp.r
+    if tau < m + r:
+        raise DomainError(f"size {tau} is below m + r = {m + r}")
+    unobserved = tau - m - r
+    value = float(gammaln(tau + 1.0) - gammaln(unobserved + 1.0)
+                  + xlogy(tau - m, comp.f))
+    v, grad = _counted_terms(model, theta, comp.between)
     value += v
-    p0, g0 = model1.zero_prob_and_grad(theta1)
+    p0, g0 = model.zero_prob_and_grad(theta)
     if unobserved > 0:
         _require_positive(p0, "the zero-pattern probability")
         value += unobserved * np.log(p0)
         grad = grad + (unobserved / p0) * g0
-    vw, gw = _within_terms(data, theta1, model1)
-    return LogLikTerms(value=value + vw, grad_theta=grad + gw, which="full1")
+    vw, gw = _within_terms(comp, theta, model)
+    return LogLikTerms(value=value + vw, grad_theta=grad + gw)
 
 
-def loglik_cond_1(data: SampleData, theta1, model1) -> LogLikTerms:
-    """Size-free log-likelihood for the frame-covered part: the zero-truncated
-    multinomial over observed outside-links times the within-site tables."""
-    if data.r1 == 0 and all(not w for w in data.within):
+def loglik_cond(comp: Component, theta, model) -> LogLikTerms:
+    """Size-free log-likelihood for one part: the zero-truncated multinomial
+    over the outside-linked people times the within-site tables."""
+    if comp.r == 0 and not any(comp.within):
         raise Unidentifiable(
             "no outside-linked people and no within-site links: the conditional "
             "likelihood carries no information"
         )
-    p0, g0 = model1.zero_prob_and_grad(theta1)
+    p0, g0 = model.zero_prob_and_grad(theta)
     _require_positive(1.0 - p0, "the escape probability (1 - zero-pattern mass)")
-    v, grad = _counted_terms(model1, theta1, data.between1)
-    r1 = data.r1
-    value = v - r1 * np.log1p(-p0)
-    grad = grad + (r1 / (1.0 - p0)) * g0
-    vw, gw = _within_terms(data, theta1, model1)
-    return LogLikTerms(value=value + vw, grad_theta=grad + gw, which="cond1")
+    v, grad = _counted_terms(model, theta, comp.between)
+    r = comp.r
+    value = v - r * np.log1p(-p0)
+    grad = grad + (r / (1.0 - p0)) * g0
+    vw, gw = _within_terms(comp, theta, model)
+    return LogLikTerms(value=value + vw, grad_theta=grad + gw)
 
 
-def loglik_binom_12(data: SampleData, tau1: float, theta1, model1) -> LogLikTerms:
-    """Binomial escape factor: of ``tau1 - m`` people at risk outside the
-    sampled sites, ``r1`` were linked to at least one site."""
-    m, r1 = data.m_total, data.r1
-    if tau1 < m + r1:
-        raise DomainError(f"tau1={tau1} is below m + r1 = {m + r1}")
-    unobserved = tau1 - m - r1
-    p0, g0 = model1.zero_prob_and_grad(theta1)
-    if r1 > 0:
-        _require_positive(1.0 - p0, "the escape probability")
-    if unobserved > 0:
-        _require_positive(p0, "the zero-pattern probability")
-    value = float(gammaln(tau1 - m + 1.0) - gammaln(unobserved + 1.0)
-                  + xlogy(r1, 1.0 - p0) + xlogy(unobserved, p0))
-    grad = np.zeros(model1.q)
-    if r1 > 0:
-        grad -= (r1 / (1.0 - p0)) * g0
-    if unobserved > 0:
-        grad += (unobserved / p0) * g0
-    return LogLikTerms(value=value, grad_theta=grad, which="binom12")
+def loglik_full_1(data: SampleData, tau1: float, theta1, model1) -> LogLikTerms:
+    """:func:`loglik_full` for the frame-covered part."""
+    return loglik_full(data.covered, tau1, theta1, model1)
+
+
+def loglik_cond_1(data: SampleData, theta1, model1) -> LogLikTerms:
+    """:func:`loglik_cond` for the frame-covered part."""
+    return loglik_cond(data.covered, theta1, model1)
 
 
 def loglik_2(data: SampleData, tau2: float, theta2, model2,
              conditional: bool = False) -> LogLikTerms:
-    """Log-likelihood for the frame-uncovered part.
-
-    Mirrors the frame-covered forms with no within-site terms and no site
-    sampling factor.  The conditional form drops ``tau2`` and needs at least
-    one observed person.
-    """
-    r2 = data.r2
+    """:func:`loglik_cond` (``conditional=True``, ``tau2`` unused) or
+    :func:`loglik_full` for the frame-uncovered part."""
     if conditional:
-        if r2 == 0:
-            raise Unidentifiable("no people observed outside the frame")
-        p0, g0 = model2.zero_prob_and_grad(theta2)
-        _require_positive(1.0 - p0, "the escape probability")
-        v, grad = _counted_terms(model2, theta2, data.between2)
-        value = v - r2 * np.log1p(-p0)
-        grad = grad + (r2 / (1.0 - p0)) * g0
-        return LogLikTerms(value=value, grad_theta=grad, which="cond2")
-    if tau2 < r2:
-        raise DomainError(f"tau2={tau2} is below r2={r2}")
-    unobserved = tau2 - r2
-    value = float(gammaln(tau2 + 1.0) - gammaln(unobserved + 1.0))
-    v, grad = _counted_terms(model2, theta2, data.between2)
-    value += v
-    p0, g0 = model2.zero_prob_and_grad(theta2)
-    if unobserved > 0:
-        _require_positive(p0, "the zero-pattern probability")
-        value += unobserved * np.log(p0)
-        grad = grad + (unobserved / p0) * g0
-    return LogLikTerms(value=value, grad_theta=grad, which="full2")
+        return loglik_cond(data.uncovered, theta2, model2)
+    return loglik_full(data.uncovered, tau2, theta2, model2)

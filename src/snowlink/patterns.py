@@ -10,7 +10,9 @@ serves everywhere.
 :class:`SampleData` holds the sufficient statistics of one realized sample:
 per-site sizes and the three families of sparse pattern-count maps.  The
 all-zero pattern is never a key; its counts are unobserved (for people outside
-the initial site sample) or derived (inside a sampled site).
+the initial site sample) or derived (inside a sampled site).  Its two parts,
+frame-covered and frame-uncovered, are read through one :class:`Component`
+view, so every per-part computation is written once.
 """
 
 from __future__ import annotations
@@ -94,6 +96,31 @@ def _validate_count_map(counts: Mapping[int, int], n: int, label: str,
 
 
 @dataclass(frozen=True)
+class Component:
+    """One part of the population as the estimators see it.
+
+    ``between`` maps patterns to counts for the people found only by link
+    tracing, ``m`` and ``within`` are the sampled sites' sizes and
+    within-site tables, and ``f`` is the probability that a person of this
+    part escapes the site sample (``1 - n/N`` inside the frame).  The part
+    outside the frame is the same object with no sites and ``f = 1``.
+    """
+
+    between: dict[int, int]
+    m: tuple[int, ...]
+    within: tuple[dict[int, int], ...]
+    f: float
+
+    @property
+    def m_total(self) -> int:
+        return sum(self.m)
+
+    @property
+    def r(self) -> int:
+        return sum(self.between.values())
+
+
+@dataclass(frozen=True)
 class SampleData:
     """Sufficient statistics of one combined cluster / link-tracing sample.
 
@@ -168,6 +195,16 @@ class SampleData:
     @property
     def r_within(self) -> tuple[int, ...]:
         return tuple(sum(w.values()) for w in self.within)
+
+    @property
+    def covered(self) -> Component:
+        """The frame-covered part: sampled sites and cluster-sampling factor."""
+        return Component(self.between1, self.m, self.within, 1.0 - self.n / self.N)
+
+    @property
+    def uncovered(self) -> Component:
+        """The frame-uncovered part: no sites, and nobody is sampled directly."""
+        return Component(self.between2, (), (), 1.0)
 
 
 def _counts_to_json(counts: Mapping[int, int], n: int) -> list[dict]:

@@ -13,6 +13,13 @@ Three precision matrices are available:
 * ``sigma2`` - joint precision for the frame-uncovered part, dimension
   ``q + 1`` (the same for both fitting routes).
 
+The uncovered part is the covered part with escape factor ``f = 1`` and no
+sites, so ``sigma1`` and ``sigma2`` share one assembly around their parameter
+blocks, one function turns a joint matrix into the unconditional route's
+scalar variance and parameter covariance, and the empirical estimator walks
+both parts' person vectors in one loop.  The builders keep their own guards:
+``sigma1`` refuses a vanishing ``f pi0`` before dividing by it.
+
 Their parameter blocks are sums of ``grad grad^T / prob`` over a pattern
 space, all taken by :func:`_information`.  For the homogeneous family that
 sum is the closed form ``diag(p (1 - p))``, so any site count works; other
@@ -165,6 +172,17 @@ def _within_information(theta, model, N: int) -> np.ndarray:
     return blk
 
 
+def _joint(f: float, pi0: float, g0: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A joint (size, parameter) precision matrix of a part with escape
+    factor ``f``, around its parameter block ``block``."""
+    q = len(g0)
+    M = np.empty((q + 1, q + 1))
+    M[0, 0] = (1.0 - f * pi0) / (f * pi0)
+    M[0, 1:] = M[1:, 0] = -g0 / pi0
+    M[1:, 1:] = block
+    return M
+
+
 def _sigma1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
     _check_design(model1, n, N)
     f = 1.0 - n / N
@@ -174,12 +192,8 @@ def _sigma1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
             "the size-size entry divides by (1 - n/N) * pi0; it vanishes for a "
             f"full-frame design or a zero-mass empty pattern (got {f * pi0:.3e})"
         )
-    q = model1.q
-    M = np.empty((q + 1, q + 1))
-    M[0, 0] = (1.0 - f * pi0) / (f * pi0)
-    M[0, 1:] = M[1:, 0] = -g0 / pi0
-    M[1:, 1:] = f * _information(theta1, model1) + _within_information(theta1, model1, N)
-    return M
+    block = f * _information(theta1, model1) + _within_information(theta1, model1, N)
+    return _joint(f, pi0, g0, block)
 
 
 def sigma1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
@@ -208,12 +222,7 @@ def psi1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
 def _sigma2_precision(theta2, model2) -> np.ndarray:
     pi0, g0 = model2.zero_prob_and_grad(theta2)
     _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
-    q = model2.q
-    M = np.empty((q + 1, q + 1))
-    M[0, 0] = (1.0 - pi0) / pi0
-    M[0, 1:] = M[1:, 0] = -g0 / pi0
-    M[1:, 1:] = _information(theta2, model2)
-    return M
+    return _joint(1.0, pi0, g0, _information(theta2, model2))
 
 
 def sigma2_inverse(theta2, model2) -> AsymptoticMatrices:
@@ -234,13 +243,13 @@ def _size_variance(fac: float, pi0: float, g0: np.ndarray, cov: np.ndarray) -> f
     return float(fac * (pi0 + fac * (g0 @ cov @ g0)))
 
 
-def _covered_umle(theta1, model1, n: int, N: int, sigma1_inv: np.ndarray):
-    """Scalar variance and parameter covariance of the covered part under
-    unconditional fitting, from a joint precision matrix."""
-    f = 1.0 - n / N
-    pi0, g0 = model1.zero_prob_and_grad(theta1)
+def _joint_route(theta, model, f: float, joint: np.ndarray):
+    """Scalar variance and parameter covariance of a part with escape factor
+    ``f`` under unconditional fitting, from its joint precision matrix (the
+    uncovered part, ``f = 1``, uses this for both routes)."""
+    pi0, g0 = model.zero_prob_and_grad(theta)
     denom = 1.0 - f * pi0
-    sub = sigma1_inv[1:, 1:] - (f / (pi0 * denom)) * np.outer(g0, g0)
+    sub = joint[1:, 1:] - (f / (pi0 * denom)) * np.outer(g0, g0)
     cov, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
     return _size_variance(f / denom, pi0, g0, cov), cov
 
@@ -251,13 +260,6 @@ def _covered_cmle(theta1, model1, n: int, N: int, cov: np.ndarray) -> float:
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
     return _size_variance(f / (1.0 - f * pi0), pi0, g0, cov)
-
-
-def _uncovered(theta2, model2, sigma2_inv: np.ndarray) -> float:
-    pi0, g0 = model2.zero_prob_and_grad(theta2)
-    sub = _truncated(sigma2_inv[1:, 1:], pi0, g0)
-    block_cov, _ = _guarded_inverse(sub, "the parameter block of the outside covariance")
-    return _size_variance(1.0 / (1.0 - pi0), pi0, g0, block_cov)
 
 
 def _psi1_covariance(mats: AsymptoticMatrices) -> np.ndarray:
@@ -272,7 +274,7 @@ def _psi1_covariance(mats: AsymptoticMatrices) -> np.ndarray:
 def sigma1_sq_umle(theta1, model1, n: int, N: int) -> float:
     """Variance of the normalized size error under unconditional fitting."""
     sigma1_inv = sigma1_inverse(theta1, model1, n, N).inverse_form
-    return _covered_umle(theta1, model1, n, N, sigma1_inv)[0]
+    return _joint_route(theta1, model1, 1.0 - n / N, sigma1_inv)[0]
 
 
 def sigma1_sq_cmle(theta1, model1, n: int, N: int) -> float:
@@ -284,7 +286,7 @@ def sigma1_sq_cmle(theta1, model1, n: int, N: int) -> float:
 def sigma2_sq(theta2, model2) -> float:
     """Variance of the normalized size error for the frame-uncovered part
     (shared by both fitting routes)."""
-    return _uncovered(theta2, model2, sigma2_inverse(theta2, model2).inverse_form)
+    return _joint_route(theta2, model2, 1.0, sigma2_inverse(theta2, model2).inverse_form)[0]
 
 
 def scalar_variances(theta1, model1, theta2, model2, n: int, N: int,
@@ -335,71 +337,55 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
     """
     if which not in ("sigma1", "psi1", "sigma2"):
         raise DomainError(f"unknown matrix kind {which!r}")
+    comp = data.uncovered if which == "sigma2" else data.covered
+    joint = which != "psi1"
     tau_hat = int(tau_hat)
     q = model.q
+    f = comp.f
     pi0, g0 = model.zero_prob_and_grad(theta_hat)
     _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
+    observed = comp.m_total + comp.r
+    if tau_hat < observed:
+        raise DomainError(f"tau_hat={tau_hat} below the observed count {observed}")
+    if which == "sigma1" and f * pi0 <= 1e-12:
+        raise DegenerateDenominator(
+            "the zero-pattern vector divides by (1 - n/N) * pi0"
+        )
     rows: list[np.ndarray] = []
     weights: list[float] = []
 
-    def add(vec, w):
+    def add(vec, w, size_score=1.0):
         if w > 0:
-            rows.append(vec)
+            rows.append(np.concatenate([[size_score], vec]) if joint else vec)
             weights.append(float(w))
 
-    if which == "sigma2":
-        unobserved = tau_hat - data.r2
-        if unobserved < 0:
-            raise DomainError(f"tau_hat={tau_hat} below the observed count {data.r2}")
-        if data.between2:
-            pats = list(data.between2)
-            probs, grads = model.probs_and_grads(theta_hat, pats)
-            _positive(probs, "an observed pattern probability")
-            for k, x in enumerate(pats):
-                add(np.concatenate([[1.0], grads[k] / probs[k]]), data.between2[x])
-        add(np.concatenate([[-(1.0 - pi0) / pi0], g0 / pi0]), unobserved)
-        dim = q + 1
-    else:
-        f = 1.0 - data.n / data.N
-        unobserved = tau_hat - data.m_total - data.r1
-        if unobserved < 0:
-            raise DomainError(
-                f"tau_hat={tau_hat} below the observed count {data.m_total + data.r1}"
-            )
-        if which == "sigma1" and f * pi0 <= 1e-12:
-            raise DegenerateDenominator(
-                "the zero-pattern vector divides by (1 - n/N) * pi0"
-            )
-        escape = 1.0 - pi0
-        if data.between1:
-            pats = list(data.between1)
-            probs, grads = model.probs_and_grads(theta_hat, pats)
-            _positive(probs, "an observed pattern probability")
-            for k, x in enumerate(pats):
-                if which == "sigma1":
-                    vec = np.concatenate([[1.0], grads[k] / probs[k]])
-                else:
-                    tp = probs[k] / escape
-                    tg = grads[k] / escape + probs[k] * g0 / escape**2
-                    vec = tg / tp
-                add(vec, data.between1[x])
-        for l in range(data.n):
-            pats = list(data.within[l]) + [0]
-            counts = [data.within[l][x] for x in data.within[l]]
-            counts.append(data.m[l] - sum(counts))
-            probs, grads = model.probs_and_grads(theta_hat, pats, within_site=l)
-            _positive(probs, f"a within-site pattern probability (site {l})")
-            for k in range(len(pats)):
+    escape = 1.0 - pi0
+    if comp.between:
+        pats = list(comp.between)
+        probs, grads = model.probs_and_grads(theta_hat, pats)
+        _positive(probs, "an observed pattern probability")
+        for k, x in enumerate(pats):
+            if joint:
                 vec = grads[k] / probs[k]
-                if which == "sigma1":
-                    vec = np.concatenate([[1.0], vec])
-                add(vec, counts[k])
-        if which == "sigma1":
-            add(np.concatenate([[-(1.0 - f * pi0) / (f * pi0)], g0 / pi0]), unobserved)
-            dim = q + 1
-        else:
-            add(np.zeros(q), unobserved)
-            dim = q
+            else:
+                tp = probs[k] / escape
+                tg = grads[k] / escape + probs[k] * g0 / escape**2
+                vec = tg / tp
+            add(vec, comp.between[x])
+    for l, (site_counts, size) in enumerate(zip(comp.within, comp.m)):
+        pats = list(site_counts) + [0]
+        counts = list(site_counts.values())
+        counts.append(size - sum(counts))
+        probs, grads = model.probs_and_grads(theta_hat, pats, within_site=l)
+        _positive(probs, f"a within-site pattern probability (site {l})")
+        for k in range(len(pats)):
+            add(grads[k] / probs[k], counts[k])
+    unobserved = tau_hat - observed
+    if joint:
+        add(g0 / pi0, unobserved, size_score=-(1.0 - f * pi0) / (f * pi0))
+    else:
+        add(np.zeros(q), unobserved)
+    dim = q + 1 if joint else q
     total = sum(weights)
     if total != tau_hat:
         raise DomainError(
@@ -510,7 +496,7 @@ def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
     if report.method == "umle":
         m1 = (sigma1_inverse(theta1, model1, n, N) if analytic else
               empirical_v_covariance(data, theta1, report.tau1, model1, "sigma1"))
-        s1, cov1 = _covered_umle(theta1, model1, n, N, m1.inverse_form)
+        s1, cov1 = _joint_route(theta1, model1, 1.0 - n / N, m1.inverse_form)
     elif report.method == "cmle":
         m1 = (psi1_inverse(theta1, model1, n, N) if analytic else
               empirical_v_covariance(data, theta1, report.tau1, model1, "psi1"))
@@ -520,7 +506,7 @@ def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
         raise DomainError(f"unknown method {report.method!r}")
     m2 = (sigma2_inverse(theta2, model2) if analytic else
           empirical_v_covariance(data, theta2, report.tau2, model2, "sigma2"))
-    s2 = _uncovered(theta2, model2, m2.inverse_form)
+    s2, _ = _joint_route(theta2, model2, 1.0, m2.inverse_form)
     cov2 = None if m2.covariance_form is None else m2.covariance_form[1:, 1:]
     combined, intervals = _interval_set(report.tau1, report.tau2, s1, s2, level)
     report.variance = VarianceReport(

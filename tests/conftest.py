@@ -4,14 +4,17 @@ The oracles here deliberately avoid the package's own computation paths:
 dense trapezoid integration for the normal-mixture probabilities, central
 finite differences for gradients, direct pmf formulas (via scipy) for the
 integer size profiles, and case-by-case construction of the per-person
-score vectors for the moment checks.
+score vectors for the moment checks.  The cluster and binomial-escape
+factors of the frame-covered likelihood live here too, as the references
+for the factorization ``full = cluster + conditional + binomial-escape``.
 """
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, gammaln, xlogy
 
-from snowlink import enumerate_patterns
+from snowlink import DomainError, enumerate_patterns
+from snowlink.likelihood import LogLikTerms, _require_positive
 
 
 def fd_gradient(fun, theta, step=1e-5):
@@ -25,6 +28,43 @@ def fd_gradient(fun, theta, step=1e-5):
         dn[i] -= step
         out[i] = (fun(up) - fun(dn)) / (2.0 * step)
     return out
+
+
+def multinomial_cluster_loglik(tau1: float, m_total: int, n: int, N: int) -> float:
+    """Size-dependent part of the cluster-sampling log-probability.
+
+    Uses the exponent ``tau1 - m`` on ``1 - n/N`` (the remainder is a data-only
+    constant), so the full-frame design ``n == N`` evaluates to 0 at
+    ``tau1 == m`` instead of an indeterminate form.
+    """
+    if tau1 < m_total:
+        raise DomainError(f"size {tau1} below the number of people found in sites {m_total}")
+    return float(
+        gammaln(tau1 + 1.0) - gammaln(tau1 - m_total + 1.0)
+        + xlogy(tau1 - m_total, 1.0 - n / N)
+    )
+
+
+def loglik_binom_12(data, tau1: float, theta1, model1) -> LogLikTerms:
+    """Binomial escape factor: of ``tau1 - m`` people at risk outside the
+    sampled sites, ``r1`` were linked to at least one site."""
+    m, r1 = data.m_total, data.r1
+    if tau1 < m + r1:
+        raise DomainError(f"tau1={tau1} is below m + r1 = {m + r1}")
+    unobserved = tau1 - m - r1
+    p0, g0 = model1.zero_prob_and_grad(theta1)
+    if r1 > 0:
+        _require_positive(1.0 - p0, "the escape probability")
+    if unobserved > 0:
+        _require_positive(p0, "the zero-pattern probability")
+    value = float(gammaln(tau1 - m + 1.0) - gammaln(unobserved + 1.0)
+                  + xlogy(r1, 1.0 - p0) + xlogy(unobserved, p0))
+    grad = np.zeros(model1.q)
+    if r1 > 0:
+        grad -= (r1 / (1.0 - p0)) * g0
+    if unobserved > 0:
+        grad += (unobserved / p0) * g0
+    return LogLikTerms(value=value, grad_theta=grad)
 
 
 def mixture_prob_trapezoid(alpha, sigma, x, n, within_site=None, npts=100_000):

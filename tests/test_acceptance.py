@@ -20,7 +20,6 @@ from snowlink import (
     fit_cmle_1,
     fit_umle_1,
     loglik_2,
-    loglik_binom_12,
     loglik_cond_1,
     loglik_full_1,
     psi1_inverse,
@@ -40,7 +39,13 @@ from snowlink.simulator import (
 )
 from snowlink.variance import empirical_v_covariance
 
-from conftest import fd_gradient, mixture_prob_trapezoid, random_model, random_sample_data
+from conftest import (
+    fd_gradient,
+    loglik_binom_12,
+    mixture_prob_trapezoid,
+    random_model,
+    random_sample_data,
+)
 from test_estimators import (
     _grid_maximize,
     _integer_size_profile_argmax,

@@ -304,6 +304,28 @@ def test_fixed_point_residuals_at_solution():
     assert fit.tau_real >= data.m_total + data.r1
 
 
+@pytest.mark.parametrize("part", ["covered", "uncovered"])
+def test_umle_without_start_warm_starts_from_the_conditional_fit(part):
+    # both parts: a plain umle fit is the conditional fit followed by the
+    # size/parameter ascent from its theta, and counts both fits' iterations
+    config = _acceptance_style_config()
+    data, _ = draw_sample(config, replicate_rng(9, 6))
+    if part == "covered":
+        model = config.model1
+        cm = fit_cmle_1(data, model)
+        um = fit_umle_1(data, model)
+        ascent = fit_umle_1(data, model, FitOptions(init_theta1=cm.theta))
+    else:
+        model = config.model2
+        cm = fit_2(data, model, "cmle")
+        um = fit_2(data, model, "umle")
+        ascent = fit_2(data, model, "umle", FitOptions(init_theta2=cm.theta))
+    assert cm.iterations > 0 and ascent.iterations > 0
+    assert um.iterations == cm.iterations + ascent.iterations
+    assert np.array_equal(um.theta, ascent.theta)
+    assert (um.tau, um.tau_real, um.sweeps) == (ascent.tau, ascent.tau_real, ascent.sweeps)
+
+
 def test_no_convergence_surfaces():
     config = _acceptance_style_config(tau1=600, tau2=300)
     data, _ = draw_sample(config, replicate_rng(9, 4))

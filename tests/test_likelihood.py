@@ -10,13 +10,17 @@ from snowlink import (
     SampleData,
     Unidentifiable,
     loglik_2,
-    loglik_binom_12,
     loglik_cond_1,
     loglik_full_1,
-    multinomial_cluster_loglik,
 )
 
-from conftest import fd_gradient, random_model, random_sample_data
+from conftest import (
+    fd_gradient,
+    loglik_binom_12,
+    multinomial_cluster_loglik,
+    random_model,
+    random_sample_data,
+)
 
 
 def test_full_frame_design_pins_the_size():

@@ -6,6 +6,18 @@ replicate and method.  Replicates are seeded from ``(master_seed, index)`` and
 may run in parallel; aggregation is an ordered fold over replicate indices, so
 the outputs are byte-identical for any worker count.
 
+Both methods start from the maximizer of the conditional likelihood, so a
+replicate that fits both runs ``cmle`` first and starts ``umle`` from its
+parameters: each part's conditional solve runs once, and every row is what
+a single-method run gives.  The ``umle`` row's fit then begins at that start,
+so its solver diagnostics leave out the conditional iterations.  When
+``cmle`` is not requested or its fit fails, ``umle`` solves its own warm
+start.  Rows keep the order of ``config.methods``.
+
+The study moments (skewness, excess kurtosis and the Jarque-Bera normality
+test of the standardized errors) are computed with numpy, as ``scipy.stats``
+defines them, so a study does not load ``scipy.stats``.
+
 Replicates whose estimation fails are excluded from the aggregate moments and
 coverage (a diverged solver would poison the normality statistics) but are
 tallied and keep their CSV row with the error message.
@@ -107,15 +119,22 @@ def _replicate_rows(config: ExperimentConfig, index: int) -> list[dict]:
     rng = replicate_rng(config.master_seed, index)
     data, truth = draw_sample(pop, rng)
     zcrit = float(ndtri(0.5 * (1.0 + config.level)))
-    rows = []
-    for method in config.methods:
+    rows = [None] * len(config.methods)
+    warm = FitOptions()
+    # cmle runs first: its parameters are the conditional fit that umle
+    # otherwise solves again as its warm start, bit for bit
+    for i in sorted(range(len(config.methods)), key=lambda i: config.methods[i] != "cmle"):
+        method = config.methods[i]
         row = {
             "replicate": index, "method": method, "error": "",
             "tau1_true": truth.tau1, "tau2_true": truth.tau2, "tau_true": truth.tau,
             "m": data.m_total, "r1": data.r1, "r2": data.r2,
         }
         try:
-            report = fit_total(data, pop.model1, pop.model2, method, FitOptions())
+            report = fit_total(data, pop.model1, pop.model2, method,
+                               warm if method == "umle" else FitOptions())
+            if method == "cmle":
+                warm = FitOptions(init_theta1=report.theta1, init_theta2=report.theta2)
             attach_variance(report, data, pop.model1, pop.model2,
                             level=config.level, source=config.variance_source)
             v = report.variance
@@ -150,7 +169,7 @@ def _replicate_rows(config: ExperimentConfig, index: int) -> list[dict]:
                     ) if tau_true > 0 else float("nan")
         except SnowlinkError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+        rows[i] = row
     return rows
 
 
@@ -212,10 +231,26 @@ class MonteCarloSummary:
         }
 
 
-def _target_stats(name: str, est, true, asym_sd, hits, z) -> TargetStats:
-    # imported here: scipy.stats is about half the import time of the package
-    from scipy import stats as sp_stats
+def _shape_stats(z: np.ndarray) -> tuple[float, float, float, float]:
+    """Skewness and excess kurtosis from the biased central moments, the
+    Jarque-Bera statistic ``n/6 (S^2 + K^2/4)`` and its chi-square(2) tail
+    ``exp(-JB/2)``, as ``scipy.stats`` computes them.  All four are NaN below
+    8 values or when the values are constant to rounding."""
+    nan = float("nan")
+    if len(z) < 8:
+        return nan, nan, nan, nan
+    mean = float(z.mean())
+    d = z - mean
+    m2 = float(np.mean(d * d))
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return nan, nan, nan, nan
+    skew = float(np.mean(d * d * d)) / m2 ** 1.5
+    kurt = float(np.mean((d * d) ** 2)) / m2 ** 2 - 3.0
+    stat = len(z) / 6.0 * (skew ** 2 + kurt ** 2 / 4.0)
+    return skew, kurt, stat, math.exp(-0.5 * stat)
 
+
+def _target_stats(name: str, est, true, asym_sd, hits, z) -> TargetStats:
     est = np.asarray(est, dtype=float)
     true = np.asarray(true, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -226,14 +261,7 @@ def _target_stats(name: str, est, true, asym_sd, hits, z) -> TargetStats:
     mean_asym = float(np.mean(asym_sd)) if n else float("nan")
     ratio = mean_asym / sd_emp if n > 1 and sd_emp > 0 else float("nan")
     cov = float(np.mean(hits)) if n else float("nan")
-    ok = np.isfinite(z)
-    if ok.sum() >= 8:
-        skew = float(sp_stats.skew(z[ok]))
-        kurt = float(sp_stats.kurtosis(z[ok]))
-        stat, pval = sp_stats.jarque_bera(z[ok])
-        stat, pval = float(stat), float(pval)
-    else:
-        skew = kurt = stat = pval = float("nan")
+    skew, kurt, stat, pval = _shape_stats(z[np.isfinite(z)])
     return TargetStats(target=name, n=n, mean=mean, bias=bias, sd_emp=sd_emp,
                        mean_asym_sd=mean_asym, sd_ratio=ratio, coverage=cov,
                        skewness=skew, excess_kurtosis=kurt,

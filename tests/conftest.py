@@ -3,18 +3,20 @@
 The oracles here deliberately avoid the package's own computation paths:
 dense trapezoid integration for the normal-mixture probabilities, central
 finite differences for gradients, direct pmf formulas (via scipy) for the
-integer size profiles, and case-by-case construction of the per-person
-score vectors for the moment checks.  The cluster and binomial-escape
-factors of the frame-covered likelihood live here too, as the references
-for the factorization ``full = cluster + conditional + binomial-escape``.
+integer size profiles, case-by-case construction of the per-person
+score vectors for the moment checks, and the random-effect kernel as a loop
+over quadrature nodes.  The cluster and binomial-escape factors of the
+frame-covered likelihood live here too, as the references for the
+factorization ``full = cluster + conditional + binomial-escape``.
 """
 
 import numpy as np
 import pytest
-from scipy.special import expit, gammaln, xlogy
+from scipy.special import expit, gammaln, log_expit, xlogy
 
 from snowlink import DomainError, enumerate_patterns
 from snowlink.likelihood import LogLikTerms, _require_positive
+from snowlink.link_model import _check_scope, _pattern_bits
 
 
 def fd_gradient(fun, theta, step=1e-5):
@@ -79,6 +81,48 @@ def mixture_prob_trapezoid(alpha, sigma, x, n, within_site=None, npts=100_000):
         p = expit(alpha[i] + sigma * z)
         prod = prod * (p if (x >> i) & 1 else 1.0 - p)
     return float(np.trapezoid(prod * density, z))
+
+
+def rasch_probs_and_grads_loop(model, theta, patterns, within_site=None):
+    """The random-effect kernel as one pass per quadrature node: the reference
+    for the vectorized ``RaschLinkModel.probs_and_grads``."""
+    theta = model.validate_theta(theta)
+    alpha, sigma = theta[:-1], theta[-1]
+    _check_scope(patterns, within_site, model.n)
+    X = _pattern_bits(patterns, model.n)
+    active = np.ones(model.n, dtype=bool)
+    if within_site is not None:
+        active[within_site] = False
+    Xa = X[:, active]
+    probs = np.zeros(X.shape[0])
+    grads = np.zeros((X.shape[0], model.q))
+    galpha = grads[:, :-1]
+    for zk, wk in zip(model.rule.nodes, model.rule.weights):
+        a = alpha[active] + sigma * zk
+        fk = np.exp(Xa @ log_expit(a) + (1.0 - Xa) @ log_expit(-a))
+        resid = Xa - expit(a)
+        probs += wk * fk
+        contrib = (wk * fk)[:, None] * resid
+        galpha[:, active] += contrib
+        grads[:, -1] += zk * contrib.sum(axis=1)
+    return probs, grads
+
+
+def rasch_zero_prob_and_grad_loop(model, theta):
+    """All-zero pattern probability and gradient, one pass per quadrature
+    node: the reference for ``RaschLinkModel.zero_prob_and_grad``."""
+    theta = model.validate_theta(theta)
+    alpha, sigma = theta[:-1], theta[-1]
+    p0 = 0.0
+    grad = np.zeros(model.q)
+    for zk, wk in zip(model.rule.nodes, model.rule.weights):
+        a = alpha + sigma * zk
+        fk = float(np.exp(log_expit(-a).sum()))
+        pk = expit(a)
+        p0 += wk * fk
+        grad[:-1] += -wk * fk * pk
+        grad[-1] += -wk * zk * fk * pk.sum()
+    return p0, grad
 
 
 class FlatZeroPatternModel:

@@ -1,6 +1,9 @@
 """The benchmark's span tracer (``mcbench/tracing.py``) rebinds package names
-by string at install time.  A rename in ``src/`` that breaks it fails here,
-in the test suite, rather than only in a traced benchmark run."""
+by string at install time, and its estimate clock (``mcbench/worker.py``)
+times each ``fit_total`` then ``attach_variance`` pair that
+``snowlink.experiments`` makes per method.  A rename in ``src/``, or a change
+to that call sequence, that breaks either fails here, in the test suite,
+rather than only in a benchmark run."""
 
 import pathlib
 
@@ -9,6 +12,7 @@ from scipy.special import logit
 
 import snowlink.experiments as experiments
 from snowlink import HomogeneousLinkModel
+from snowlink.experiments import ExperimentConfig, run_experiment
 from snowlink.simulator import (
     ConditionalMultinomial,
     PopulationConfig,
@@ -19,15 +23,18 @@ from snowlink.simulator import (
 MCBENCH = pathlib.Path(__file__).resolve().parents[1] / "mcbench"
 
 
+def _population(n=3):
+    return PopulationConfig(
+        N=8, n=n, cluster_mode=ConditionalMultinomial(300), tau2=150,
+        model1=HomogeneousLinkModel(n), model2=HomogeneousLinkModel(n),
+        theta1=np.full(n, logit(0.35)), theta2=np.full(n, logit(0.3)))
+
+
 def test_tracer_installs_records_and_restores(monkeypatch):
     monkeypatch.syspath_prepend(str(MCBENCH))
     from tracing import Tracer
 
-    n = 3
-    population = PopulationConfig(
-        N=8, n=n, cluster_mode=ConditionalMultinomial(300), tau2=150,
-        model1=HomogeneousLinkModel(n), model2=HomogeneousLinkModel(n),
-        theta1=np.full(n, logit(0.35)), theta2=np.full(n, logit(0.3)))
+    population = _population()
     data, _ = draw_sample(population, replicate_rng(3, 0))
     tracer = Tracer()
     tracer.install()
@@ -45,3 +52,36 @@ def test_tracer_installs_records_and_restores(monkeypatch):
     assert rebound
     for owner, attr, original in rebound:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_estimate_clock_times_each_method_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(MCBENCH))
+    from checks import check_estimate
+    from worker import EstimateClock
+
+    config = ExperimentConfig(population=_population(), replicates=2,
+                              methods=("umle", "cmle"), master_seed=3)
+    originals = (experiments.fit_total, experiments.attach_variance)
+    clock = EstimateClock(experiments)
+    clock.install()
+    try:
+        summary = run_experiment(config)
+    finally:
+        clock.uninstall()
+    assert (experiments.fit_total, experiments.attach_variance) == originals
+
+    assert len(clock.records) == config.replicates * len(config.methods)
+    spec1, spec2 = config.population.model1.spec(), config.population.model2.spec()
+    per_replicate = len(config.methods)
+    for k, (method, seconds, data, report) in enumerate(clock.records):
+        index = k // per_replicate
+        assert data is clock.records[index * per_replicate][2]
+        row, = [r for r in summary.rows
+                if r["replicate"] == index and r["method"] == method]
+        assert not row["error"]
+        assert report.method == method and row["tau1_real"] == report.tau1_real
+        assert seconds > 0
+        assert check_estimate(data, report, spec1, spec2, config.level) == []
+    for index in range(config.replicates):
+        recorded = clock.records[index * per_replicate:(index + 1) * per_replicate]
+        assert sorted(r[0] for r in recorded) == sorted(config.methods)

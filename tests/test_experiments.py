@@ -13,11 +13,20 @@ from snowlink import (
     ExperimentConfig,
     HomogeneousLinkModel,
     ParseError,
+    SingularMatrix,
     emit_reports,
     experiment_config_from_dict,
     run_experiment,
 )
-from snowlink.experiments import csv_columns, render_digest
+import snowlink.estimators as estimators
+import snowlink.experiments as experiments
+from snowlink.experiments import (
+    _format_cell,
+    _replicate_rows,
+    _shape_stats,
+    csv_columns,
+    render_digest,
+)
 from snowlink.simulator import ConditionalMultinomial, PopulationConfig
 
 
@@ -28,6 +37,14 @@ def _population(n=3, N=8, tau1=400, tau2=200, p1=0.35, p2=0.3):
                             model2=HomogeneousLinkModel(n),
                             theta1=np.full(n, logit(p1)),
                             theta2=np.full(n, logit(p2)))
+
+
+def _desk_population():
+    # the acceptance suite's desk design
+    return PopulationConfig(
+        N=10, n=4, cluster_mode=ConditionalMultinomial(2000), tau2=1000,
+        model1=HomogeneousLinkModel(4), model2=HomogeneousLinkModel(4),
+        theta1=np.full(4, logit(0.3)), theta2=np.full(4, logit(0.25)))
 
 
 def _config(replicates=4, **kwargs):
@@ -118,11 +135,100 @@ def test_golden_digest_bytes():
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
+    # nor does a study: its moments are computed with numpy
     import snowlink
 
     src = pathlib.Path(snowlink.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, snowlink; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, numpy as np, snowlink as sl\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "pop = sl.PopulationConfig(N=8, n=3, cluster_mode=sl.ConditionalMultinomial(400),\n"
+        "    tau2=200, model1=sl.HomogeneousLinkModel(3), model2=sl.HomogeneousLinkModel(3),\n"
+        "    theta1=np.full(3, -0.6), theta2=np.full(3, -0.8))\n"
+        "summary = sl.run_experiment(sl.ExperimentConfig(population=pop, replicates=9))\n"
+        "print(np.isfinite(summary.per_method['umle'].targets['tau'].skewness))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "True", "False"]
+
+
+@pytest.mark.parametrize("n", [8, 20, 500])
+def test_shape_stats_match_scipy(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        z = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0), n)
+        want = (stats.skew(z), stats.kurtosis(z), *stats.jarque_bera(z))
+        got = _shape_stats(z)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+
+def test_shape_stats_nan_when_few_or_constant():
+    assert all(np.isnan(_shape_stats(np.arange(7.0))))
+    for value in (0.0, 0.1, 3.7):
+        assert all(np.isnan(_shape_stats(np.full(9, value))))
+
+
+def _cells(rows):
+    return [{k: _format_cell(v) for k, v in row.items()} for row in rows]
+
+
+def test_two_method_replicate_matches_single_method_runs():
+    pop = _desk_population()
+    for index in range(3):
+        single = {m: _cells(_replicate_rows(
+            ExperimentConfig(population=pop, replicates=1, methods=(m,), master_seed=11),
+            index)) for m in ("umle", "cmle")}
+        for methods in (("umle", "cmle"), ("cmle", "umle")):
+            config = ExperimentConfig(population=pop, replicates=1, methods=methods,
+                                      master_seed=11)
+            rows = _cells(_replicate_rows(config, index))
+            assert [r["method"] for r in rows] == list(methods)
+            assert rows == [single[m][0] for m in methods]
+            assert not any(r["error"] for r in rows)
+
+
+def test_two_method_replicate_solves_the_conditional_fit_once(monkeypatch):
+    calls = []
+    original = estimators.empirical_initial_theta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "empirical_initial_theta", counted)
+    config = ExperimentConfig(population=_desk_population(), replicates=1,
+                              methods=("umle", "cmle"), master_seed=11)
+    rows = _replicate_rows(config, 0)
+    assert not any(r["error"] for r in rows)
+    # one conditional solve per part, shared by both methods
+    assert len(calls) == 2
+
+
+def test_cmle_variance_failure_still_shares_the_fit(monkeypatch):
+    calls = []
+    original_theta = estimators.empirical_initial_theta
+    original_attach = experiments.attach_variance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original_theta(*args, **kwargs)
+
+    def attach(report, *args, **kwargs):
+        if report.method == "cmle":
+            raise SingularMatrix("refused for the test")
+        return original_attach(report, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "empirical_initial_theta", counted)
+    monkeypatch.setattr(experiments, "attach_variance", attach)
+    config = ExperimentConfig(population=_desk_population(), replicates=1,
+                              methods=("umle", "cmle"), master_seed=11)
+    umle, cmle = _replicate_rows(config, 0)
+    assert cmle["error"].startswith("SingularMatrix")
+    assert not umle["error"]
+    assert len(calls) == 2

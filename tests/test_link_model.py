@@ -13,7 +13,12 @@ from snowlink import (
 )
 from snowlink.link_model import DEFAULT_QUADRATURE_NODES
 
-from conftest import fd_gradient, mixture_prob_trapezoid
+from conftest import (
+    fd_gradient,
+    mixture_prob_trapezoid,
+    rasch_probs_and_grads_loop,
+    rasch_zero_prob_and_grad_loop,
+)
 
 
 def test_quadrature_rule_moments():
@@ -121,6 +126,25 @@ def test_rasch_within_scope_gradient(rng):
     fd = fd_gradient(lambda th: model.pattern_prob(th, 0b100, within_site=0), theta)
     assert np.max(np.abs(grad - fd)) <= 1e-8
     assert grad[0] == 0.0  # own-site coordinate inert
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7, 2.0])
+def test_rasch_kernel_matches_node_loop(sigma):
+    # n = 13 has 8192 between-site patterns: the kernel's row blocks split them
+    rng = np.random.default_rng(int(10 * sigma))
+    for n in (1, 2, 4, 7, 13):
+        model = RaschLinkModel(n)
+        theta = np.concatenate([rng.uniform(-3.0, 2.0, n), [sigma]])
+        for site in (None, 0, n - 1):
+            pats = enumerate_patterns(n, site)
+            probs, grads = model.probs_and_grads(theta, pats, within_site=site)
+            ref_probs, ref_grads = rasch_probs_and_grads_loop(model, theta, pats, site)
+            assert np.max(np.abs(probs - ref_probs)) <= 1e-15
+            assert np.max(np.abs(grads - ref_grads)) <= 1e-15
+        p0, g0 = model.zero_prob_and_grad(theta)
+        ref_p0, ref_g0 = rasch_zero_prob_and_grad_loop(model, theta)
+        assert abs(p0 - ref_p0) <= 1e-15
+        assert np.max(np.abs(g0 - ref_g0)) <= 1e-15
 
 
 def test_quadrature_convergence_at_default():

@@ -27,7 +27,6 @@ from .estimators import (
     fit_cmle_1,
     fit_total,
     fit_umle_1,
-    tau1_closed_form,
 )
 from .experiments import (
     ExperimentConfig,

@@ -142,11 +142,6 @@ def _closed_form(m: int, r: int, f: float, pi0: float):
     return real, floor
 
 
-def tau1_closed_form(m: int, r1: int, n: int, N: int, pi0: float):
-    """The closed-form size of the frame-covered part, where ``f = 1 - n/N``."""
-    return _closed_form(m, r1, 1.0 - n / N, pi0)
-
-
 # ---------------------------------------------------------------------------
 # Inner solver
 
@@ -266,7 +261,7 @@ def _link_fractions(links, at_risk):
 
 def empirical_initial_theta(comp: Component, model) -> np.ndarray:
     """Per-site empirical link logits (observed links over observed people at
-    risk), extended by a spread of 0.5 for the random-effect family."""
+    risk), followed by the family's starting values of its other parameters."""
     n = model.n
     links = np.zeros(n)
     at_risk = np.zeros(n)
@@ -280,17 +275,7 @@ def empirical_initial_theta(comp: Component, model) -> np.ndarray:
             links[i] += sum(c for x, c in counts.items() if (x >> i) & 1)
             at_risk[i] += size
     site_logits = _safe_logit(_link_fractions(links, at_risk))
-    if getattr(model, "family", None) == "rasch":
-        return np.concatenate([site_logits, [0.5]])
-    return site_logits
-
-
-def _lower_bounds(model):
-    if getattr(model, "family", None) == "rasch":
-        lb = np.full(model.q, -np.inf)
-        lb[-1] = 0.0
-        return lb
-    return None
+    return np.concatenate([site_logits, model.extra_start])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +293,7 @@ def _integer_size_ascent(comp: Component, model, theta0, options: FitOptions):
     better neighbour restarts the ascent.  Returns (theta, size, continuous
     size, iterations, sweeps, score norm).
     """
-    lower = _lower_bounds(model)
+    lower = model.lower_bounds
     size_min = comp.m_total + comp.r
 
     def fg_at(tau_int):
@@ -389,7 +374,7 @@ def fit_component(comp: Component, model, method: str, theta0=None,
             terms = loglik_cond(comp, th, model)
             return terms.value, terms.grad_theta
 
-        res = _maximize(fg, start, _lower_bounds(model),
+        res = _maximize(fg, start, model.lower_bounds,
                         options.score_tol, options.max_iter)
         if not res.converged:
             raise NoConvergence(

@@ -66,8 +66,9 @@ class ExperimentConfig:
         if not 0.0 < self.level < 1.0:
             raise InvariantViolation(f"level must be in (0, 1), got {self.level}")
         bad = [m for m in self.methods if m not in ("umle", "cmle")]
-        if bad or not self.methods:
-            raise InvariantViolation(f"methods must be a nonempty subset of umle/cmle, got {self.methods}")
+        if bad or not self.methods or len(set(self.methods)) < len(self.methods):
+            raise InvariantViolation(
+                f"methods must be a nonempty subset of umle/cmle without repeats, got {self.methods}")
         if self.parallelism < 1:
             raise InvariantViolation("parallelism must be >= 1")
         if self.variance_source not in ("analytic", "empirical_v"):

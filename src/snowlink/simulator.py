@@ -4,11 +4,10 @@ The frame holds ``N`` sites whose sizes are drawn either as independent
 Poisson counts or as one multinomial split of a fixed covered-population size
 (equal cell probabilities).  An initial simple random sample of ``n`` sites is
 taken without replacement; every person then draws their link pattern from the
-generative form of the configured model (per-site Bernoulli draws, with a
-person-level normal effect first for the random-effect family), never from a
-materialized 2**n probability table.  People outside the initial site sample
-whose pattern is all-zero are unobserved and are simply absent from the
-returned counts.
+generative form of the configured model (the person's logit offset, then
+per-site Bernoulli draws), never from a materialized 2**n probability table.
+People outside the initial site sample whose pattern is all-zero are
+unobserved and are simply absent from the returned counts.
 
 Reproducibility contract: one replicate consumes a single generator seeded
 from ``(master_seed, replicate_index)``; the draw order is fixed as
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, InvariantViolation, ParseError
 from .link_model import model_from_spec
@@ -130,19 +128,7 @@ def _draw_pattern_counts(model, theta, count: int, rng, within_site=None) -> dic
     if count == 0:
         return {}
     n = model.n
-    family = getattr(model, "family", None)
-    if family == "homogeneous":
-        p = expit(np.asarray(theta, dtype=float))
-        hits = rng.random((count, n)) < p
-    elif family == "rasch":
-        theta = np.asarray(theta, dtype=float)
-        alpha, sigma = theta[:-1], theta[-1]
-        z = rng.standard_normal(count)
-        hits = rng.random((count, n)) < expit(alpha[None, :] + sigma * z[:, None])
-    else:
-        raise DomainError(
-            f"cannot simulate from model family {family!r}: no generative form"
-        )
+    hits = model.draw_links(theta, count, rng)
     if within_site is not None:
         hits[:, within_site] = False
     patterns = hits @ (1 << np.arange(n, dtype=np.int64))

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's own computation paths:
 dense trapezoid integration for the normal-mixture probabilities, central
 finite differences for gradients, direct pmf formulas (via scipy) for the
 integer size profiles, case-by-case construction of the per-person
-score vectors for the moment checks, and the random-effect kernel as a loop
-over quadrature nodes.  The cluster and binomial-escape factors of the
+score vectors for the moment checks, the random-effect kernel as a loop
+over quadrature nodes, and the homogeneous kernel as the direct product of
+per-site factors.  The cluster and binomial-escape factors of the
 frame-covered likelihood live here too, as the references for the
 factorization ``full = cluster + conditional + binomial-escape``.
 """
@@ -16,7 +17,6 @@ from scipy.special import expit, gammaln, log_expit, xlogy
 
 from snowlink import DomainError, enumerate_patterns
 from snowlink.likelihood import LogLikTerms, _require_positive
-from snowlink.link_model import _check_scope, _pattern_bits
 
 
 def fd_gradient(fun, theta, step=1e-5):
@@ -83,16 +83,51 @@ def mixture_prob_trapezoid(alpha, sigma, x, n, within_site=None, npts=100_000):
     return float(np.trapezoid(prod * density, z))
 
 
+def pattern_bits(patterns, n):
+    """Pattern bits as a (patterns x n) float matrix, bit ``j`` in column ``j``."""
+    xs = np.atleast_1d(np.asarray(patterns, dtype=np.int64))
+    return ((xs[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+def active_sites(n, within_site=None):
+    active = np.ones(n, dtype=bool)
+    if within_site is not None:
+        active[within_site] = False
+    return active
+
+
+def homogeneous_probs_and_grads_product(theta, patterns, n, within_site=None):
+    """The homogeneous kernel as the product of the per-site factors a pattern
+    selects, with the gradient ``probs (x - p)``: the reference for
+    ``HomogeneousLinkModel.probs_and_grads``.  It keeps the layout the
+    mixture kernel's products are summed in (column-major bits), so the two
+    agree bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    X = pattern_bits(patterns, n)
+    active = active_sites(n, within_site)
+    lp = log_expit(theta[active])
+    l1p = log_expit(-theta[active])
+    probs = np.exp(X[:, active] @ lp + (1.0 - X[:, active]) @ l1p)
+    grads = np.zeros((X.shape[0], n))
+    grads[:, active] = probs[:, None] * (X[:, active] - expit(theta[active]))
+    return probs, grads
+
+
+def homogeneous_zero_prob_and_grad_product(theta):
+    """All-zero pattern probability ``prod_j (1 - p_j)`` and its gradient
+    ``-p0 p``: the reference for ``HomogeneousLinkModel.zero_prob_and_grad``."""
+    theta = np.asarray(theta, dtype=float)
+    p0 = float(np.exp(log_expit(-theta).sum()))
+    return p0, -p0 * expit(theta)
+
+
 def rasch_probs_and_grads_loop(model, theta, patterns, within_site=None):
     """The random-effect kernel as one pass per quadrature node: the reference
     for the vectorized ``RaschLinkModel.probs_and_grads``."""
     theta = model.validate_theta(theta)
     alpha, sigma = theta[:-1], theta[-1]
-    _check_scope(patterns, within_site, model.n)
-    X = _pattern_bits(patterns, model.n)
-    active = np.ones(model.n, dtype=bool)
-    if within_site is not None:
-        active[within_site] = False
+    X = pattern_bits(patterns, model.n)
+    active = active_sites(model.n, within_site)
     Xa = X[:, active]
     probs = np.zeros(X.shape[0])
     grads = np.zeros((X.shape[0], model.q))
@@ -135,6 +170,8 @@ class FlatZeroPatternModel:
     """
 
     family = "flat_zero"
+    # what the estimators read from a model: no bounded parameter
+    lower_bounds = None
 
     def __init__(self, n, zero_mass=0.4):
         self.n = n

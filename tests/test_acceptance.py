@@ -28,8 +28,8 @@ from snowlink import (
     sigma1_sq_cmle,
     sigma1_sq_umle,
     sigma2_inverse,
-    tau1_closed_form,
 )
+from snowlink.estimators import _closed_form
 from snowlink.link_model import DEFAULT_QUADRATURE_NODES
 from snowlink.simulator import (
     ConditionalMultinomial,
@@ -205,7 +205,7 @@ def test_a6_closed_forms_match_integer_scans():
         pi0 = float(rng.uniform(0.05, 0.95))
         if m + r1 == 0:
             m = 1
-        real, floor = tau1_closed_form(m, r1, n, N, pi0)
+        real, floor = _closed_form(m, r1, 1 - n / N, pi0)
         assert floor == int(np.floor(real)) or abs(real - round(real)) < 1e-9
         assert floor in _integer_size_profile_argmax(m, r1, n, N, pi0)
         # uncovered analogue

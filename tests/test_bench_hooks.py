@@ -11,7 +11,8 @@ import numpy as np
 from scipy.special import logit
 
 import snowlink.experiments as experiments
-from snowlink import HomogeneousLinkModel
+from snowlink import HomogeneousLinkModel, RaschLinkModel
+from snowlink.link_model import MixtureLinkModel
 from snowlink.experiments import ExperimentConfig, run_experiment
 from snowlink.simulator import (
     ConditionalMultinomial,
@@ -30,28 +31,55 @@ def _population(n=3):
         theta1=np.full(n, logit(0.35)), theta2=np.full(n, logit(0.3)))
 
 
+def _rasch_population(n=3):
+    return PopulationConfig(
+        N=8, n=n, cluster_mode=ConditionalMultinomial(300), tau2=150,
+        model1=RaschLinkModel(n, quadrature_nodes=20),
+        model2=RaschLinkModel(n, quadrature_nodes=20),
+        theta1=np.append(np.full(n, logit(0.35)), 0.8),
+        theta2=np.append(np.full(n, logit(0.3)), 0.8))
+
+
 def test_tracer_installs_records_and_restores(monkeypatch):
     monkeypatch.syspath_prepend(str(MCBENCH))
     from tracing import Tracer
 
-    population = _population()
-    data, _ = draw_sample(population, replicate_rng(3, 0))
+    kernel = ("probs_and_grads", "zero_prob_and_grad")
+    classes = (HomogeneousLinkModel, RaschLinkModel)
+    # both families inherit the one kernel; the tracer rebinds it per class
+    for cls in classes:
+        for attr in kernel:
+            assert getattr(cls, attr) is getattr(MixtureLinkModel, attr)
     tracer = Tracer()
     tracer.install()
     rebound = list(tracer._saved)
+    spans = {}
     try:
-        report = experiments.fit_total(data, population.model1, population.model2, "umle")
+        for name, population, method in (("homogeneous", _population(), "umle"),
+                                         ("rasch", _rasch_population(), "cmle")):
+            data, _ = draw_sample(population, replicate_rng(3, 0))
+            before = len(tracer.spans)
+            report = experiments.fit_total(
+                data, population.model1, population.model2, method)
+            assert report.tau > 0
+            spans[name] = {n for n, _, _, _ in tracer.spans[before:]}
     finally:
         tracer.uninstall()
-    assert report.tau > 0
+    for name in ("homogeneous", "rasch"):
+        assert {"link_model.probs_and_grads",
+                "link_model.zero_prob_and_grad"} <= spans[name], name
     _, calls = tracer.self_times()
-    assert calls["estimators.fit_total"] == 1
+    assert calls["estimators.fit_total"] == 2
     assert calls["link_model.probs_and_grads"] > 0
     assert tracer.counts["link_model.probs_and_grads.rows"] > 0
     assert tracer.counts["estimators.iterations"] > 0
-    assert rebound
+    assert {(owner, attr) for owner, attr, _ in rebound} >= {
+        (cls, attr) for cls in classes for attr in kernel}
     for owner, attr, original in rebound:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+    for cls in classes:
+        for attr in kernel:
+            assert getattr(cls, attr) is getattr(MixtureLinkModel, attr)
 
 
 def test_estimate_clock_times_each_method_and_restores(monkeypatch):

@@ -16,8 +16,8 @@ from snowlink import (
     fit_cmle_1,
     fit_total,
     fit_umle_1,
-    tau1_closed_form,
 )
+from snowlink.estimators import _closed_form
 from snowlink.simulator import (
     ConditionalMultinomial,
     PopulationConfig,
@@ -33,17 +33,17 @@ from conftest import FlatZeroPatternModel, random_sample_data
 
 
 def test_closed_form_direct_arithmetic():
-    real, floor = tau1_closed_form(m=50, r1=30, n=2, N=4, pi0=0.4)
+    real, floor = _closed_form(50, 30, 1 - 2 / 4, 0.4)
     assert real == pytest.approx(100.0, rel=1e-14)
     assert floor == 100
 
 
 def test_closed_form_everyone_observed():
-    assert tau1_closed_form(m=12, r1=5, n=2, N=9, pi0=0.0) == (17.0, 17)
+    assert _closed_form(12, 5, 1 - 2 / 9, 0.0) == (17.0, 17)
 
 
 def test_closed_form_full_frame():
-    real, floor = tau1_closed_form(m=12, r1=0, n=4, N=4, pi0=0.97)
+    real, floor = _closed_form(12, 0, 1 - 4 / 4, 0.97)
     assert (real, floor) == (12.0, 12)
 
 
@@ -51,7 +51,7 @@ def test_closed_form_degenerate_denominator():
     # the denominator is at least n/N, so it can only vanish for a tiny
     # sampling fraction together with a full-mass empty pattern
     with pytest.raises(DegenerateDenominator):
-        tau1_closed_form(m=10, r1=2, n=1, N=10**13, pi0=1.0)
+        _closed_form(10, 2, 1 - 1 / 10**13, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_fixed_point_residuals_at_solution():
     fit = fit_umle_1(data, config.model1)
     model = config.model1
     pi0, _ = model.zero_prob_and_grad(fit.theta)
-    real, _ = tau1_closed_form(data.m_total, data.r1, data.n, data.N, pi0)
+    real, _ = _closed_form(data.m_total, data.r1, 1 - data.n / data.N, pi0)
     assert abs(real - fit.tau_real) / real < 1e-9
     assert fit.grad_norm <= 1e-8
     assert fit.tau == int(np.floor(fit.tau_real))

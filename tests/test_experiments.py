@@ -12,6 +12,7 @@ from scipy.special import logit
 from snowlink import (
     ExperimentConfig,
     HomogeneousLinkModel,
+    InvariantViolation,
     ParseError,
     SingularMatrix,
     emit_reports,
@@ -27,7 +28,11 @@ from snowlink.experiments import (
     csv_columns,
     render_digest,
 )
-from snowlink.simulator import ConditionalMultinomial, PopulationConfig
+from snowlink.simulator import (
+    ConditionalMultinomial,
+    PopulationConfig,
+    population_config_to_dict,
+)
 
 
 def _population(n=3, N=8, tau1=400, tau2=200, p1=0.35, p2=0.3):
@@ -125,6 +130,18 @@ def test_invalid_config_rejected():
         experiment_config_from_dict({"population": {}, "replicates": 1})
     with pytest.raises(Exception):
         _config(replicates=0)
+
+
+def test_repeated_method_rejected_up_front():
+    # a repeated method would double every row of a method's summary, so it is
+    # a config error before any replicate runs
+    with pytest.raises(InvariantViolation):
+        ExperimentConfig(population=_desk_population(), replicates=1,
+                         methods=("cmle", "cmle"))
+    with pytest.raises(ParseError):
+        experiment_config_from_dict({
+            "population": population_config_to_dict(_desk_population()),
+            "replicates": 1, "methods": ["umle", "cmle", "umle"]})
 
 
 def test_golden_digest_bytes():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snowlink import (
     DimensionMismatch,
@@ -15,6 +17,8 @@ from snowlink.link_model import DEFAULT_QUADRATURE_NODES
 
 from conftest import (
     fd_gradient,
+    homogeneous_probs_and_grads_product,
+    homogeneous_zero_prob_and_grad_product,
     mixture_prob_trapezoid,
     rasch_probs_and_grads_loop,
     rasch_zero_prob_and_grad_loop,
@@ -145,6 +149,62 @@ def test_rasch_kernel_matches_node_loop(sigma):
         ref_p0, ref_g0 = rasch_zero_prob_and_grad_loop(model, theta)
         assert abs(p0 - ref_p0) <= 1e-15
         assert np.max(np.abs(g0 - ref_g0)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 16])
+def test_homogeneous_kernel_equals_product_formula(n):
+    # the mixture kernel at K = 1 must reproduce the per-site product bit for
+    # bit: the golden report pins full-precision floats computed from it
+    rng = np.random.default_rng(100 + n)
+    model = HomogeneousLinkModel(n)
+    theta = rng.uniform(-3.0, 2.0, n)
+    for site in (None, *range(n)):
+        pats = enumerate_patterns(n, site)
+        probs, grads = model.probs_and_grads(theta, pats, within_site=site)
+        ref_probs, ref_grads = homogeneous_probs_and_grads_product(theta, pats, n, site)
+        assert np.array_equal(probs, ref_probs)
+        assert np.array_equal(grads, ref_grads)
+    p0, g0 = model.zero_prob_and_grad(theta)
+    ref_p0, ref_g0 = homogeneous_zero_prob_and_grad_product(theta)
+    assert p0 == ref_p0
+    assert np.array_equal(g0, ref_g0)
+
+
+def _relabelled(x, perm):
+    """Pattern ``x`` with new site ``i`` taking the bit of old site ``perm[i]``."""
+    return sum(((x >> int(old)) & 1) << i for i, old in enumerate(perm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["homogeneous", "rasch"]),
+       perm=st.integers(1, 5).flatmap(lambda n: st.permutations(range(n))),
+       scope=st.integers(-1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_relabelling_sites_permutes_bits_and_gradients(family, perm, scope, seed):
+    n = len(perm)
+    rng = np.random.default_rng(seed)
+    if family == "homogeneous":
+        model = HomogeneousLinkModel(n)
+        theta = rng.uniform(-2.0, 2.0, n)
+    else:
+        model = RaschLinkModel(n, quadrature_nodes=30)
+        theta = np.concatenate([rng.uniform(-2.0, 2.0, n), [rng.uniform(0.0, 2.0)]])
+    perm = np.array(perm)
+    # the site parameters follow their sites; the non-site ones stay put
+    theta_new = np.concatenate([theta[perm], theta[n:]])
+    old_site = scope if 0 <= scope < n else None
+    new_site = None if old_site is None else int(np.flatnonzero(perm == old_site)[0])
+    pats = np.array(enumerate_patterns(n, old_site))
+    new_pats = np.array([_relabelled(int(x), perm) for x in pats])
+    probs, grads = model.probs_and_grads(theta, pats, within_site=old_site)
+    new_probs, new_grads = model.probs_and_grads(theta_new, new_pats, within_site=new_site)
+    assert np.allclose(new_probs, probs, rtol=1e-12, atol=0.0)
+    assert np.allclose(new_grads[:, :n], grads[:, perm], rtol=1e-12, atol=1e-15)
+    assert np.allclose(new_grads[:, n:], grads[:, n:], rtol=1e-12, atol=1e-15)
+    p0, g0 = model.zero_prob_and_grad(theta)
+    new_p0, new_g0 = model.zero_prob_and_grad(theta_new)
+    assert new_p0 == pytest.approx(p0, rel=1e-12)
+    assert np.allclose(new_g0, np.concatenate([g0[perm], g0[n:]]), rtol=1e-12, atol=1e-15)
 
 
 def test_quadrature_convergence_at_default():

@@ -22,7 +22,6 @@ from .errors import (
 from .estimators import (
     ComponentFit,
     EstimateReport,
-    FitOptions,
     fit_2,
     fit_cmle_1,
     fit_total,

@@ -15,13 +15,14 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .errors import ParseError, SnowlinkError
-from .estimators import FitOptions, fit_total
+from .estimators import fit_total
 from .experiments import emit_reports, experiment_config_from_dict, run_experiment
 from .link_model import model_from_spec
 from .patterns import load_sample, sample_to_dict
@@ -67,7 +68,7 @@ def _models_from_file(obj):
 def _cmd_estimate(args) -> int:
     data = load_sample(args.data)
     model1, model2 = _models_from_file(_load_json(args.model))
-    report = fit_total(data, model1, model2, args.method, FitOptions())
+    report = fit_total(data, model1, model2, args.method)
     attach_variance(report, data, model1, model2, level=args.level,
                     source=args.variance_source)
     _dump_json(report.to_dict(), args.out)
@@ -79,9 +80,14 @@ def _cmd_matrices(args) -> int:
     obj = _load_json(args.model)
     model = model_from_spec(obj)
     theta_obj = _load_json(args.theta)
-    theta = np.asarray(
-        theta_obj["values"] if isinstance(theta_obj, dict) else theta_obj, dtype=float
-    )
+    try:
+        theta = np.asarray(
+            theta_obj["values"] if isinstance(theta_obj, dict) else theta_obj, dtype=float
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(
+            f"{args.theta}: expected a list of numbers or an object with 'values'"
+        ) from exc
     try:
         n_str, N_str = args.design.split(",")
         n, N = int(n_str), int(N_str)
@@ -109,10 +115,11 @@ def _cmd_matrices(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = experiment_config_from_dict(_load_json(args.config))
+    # replace() runs the config's checks on each overridden value
     if args.workers is not None:
-        config.parallelism = args.workers
+        config = dataclasses.replace(config, parallelism=args.workers)
     if args.out_dir is not None:
-        config.out_dir = args.out_dir
+        config = dataclasses.replace(config, out_dir=args.out_dir)
     summary = run_experiment(config)
     paths = emit_reports(summary, config.out_dir)
     failures = sum(ms.failures for ms in summary.per_method.values())

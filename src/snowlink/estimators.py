@@ -4,7 +4,8 @@ Both parts of the population are fitted by one function,
 :func:`fit_component`, on a :class:`~snowlink.patterns.Component` view: the
 frame-uncovered part is the frame-covered one with no sites and escape
 factor ``f = 1``.  :func:`fit_total` fits the two parts of a sample with one
-method.
+method.  The only fit setting is the start: ``theta0`` for one part, or a
+``(theta1, theta2)`` pair for :func:`fit_total`.
 
 The conditional route maximizes the size-free likelihood in the link
 parameters first and then recovers the size estimate from the closed-form
@@ -21,7 +22,8 @@ The inner ascent is a damped Newton method on the analytic gradient with a
 finite-difference Hessian, backtracking line search, and Levenberg-style
 damping that degrades gracefully to (scaled) gradient ascent when the
 Hessian is not usable; parameter lower bounds (the person-effect spread) are
-handled by projection.
+handled by projection.  Its tolerances are the module constants
+:data:`SCORE_TOL`, :data:`MAX_ITER` and :data:`MAX_SWEEPS`.
 """
 
 from __future__ import annotations
@@ -47,15 +49,12 @@ from .likelihood import loglik_2, loglik_cond_1, loglik_full_1  # noqa: F401
 from .patterns import Component, SampleData
 
 
-@dataclass
-class FitOptions:
-    """Solver tolerances and initialization controls."""
-
-    score_tol: float = 1e-8
-    max_iter: int = 200
-    max_sweeps: int = 500
-    init_theta1: Optional[np.ndarray] = None
-    init_theta2: Optional[np.ndarray] = None
+#: Convergence: the projected score's infinity norm at most this.
+SCORE_TOL = 1e-8
+#: Newton iterations per parameter solve.
+MAX_ITER = 200
+#: Size/parameter sweeps of the unconditional block ascent.
+MAX_SWEEPS = 500
 
 
 @dataclass
@@ -189,15 +188,16 @@ class _OptResult:
     converged: bool
 
 
-def _maximize(fg, theta0, lower=None, score_tol=1e-8, max_iter=200) -> _OptResult:
+def _maximize(fg, theta0, lower=None) -> _OptResult:
     """Damped Newton ascent with backtracking; convergence is a projected
-    gradient infinity-norm below ``score_tol``."""
+    gradient infinity-norm at most :data:`SCORE_TOL` within
+    :data:`MAX_ITER` iterations."""
     theta = _projected(np.asarray(theta0, dtype=float).copy(), lower)
     value, grad = fg(theta)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         pg = _projected_grad(grad, theta, lower)
-        if np.max(np.abs(pg)) <= score_tol:
+        if np.max(np.abs(pg)) <= SCORE_TOL:
             return _OptResult(theta, value, grad, it - 1, True)
         H = _fd_hessian(fg, theta, grad, lower)
         A = -H
@@ -241,7 +241,7 @@ def _maximize(fg, theta0, lower=None, score_tol=1e-8, max_iter=200) -> _OptResul
         if not moved:
             break
     pg = _projected_grad(grad, theta, lower)
-    return _OptResult(theta, value, grad, it, bool(np.max(np.abs(pg)) <= score_tol))
+    return _OptResult(theta, value, grad, it, bool(np.max(np.abs(pg)) <= SCORE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -252,37 +252,31 @@ def _safe_logit(p):
     return logit(np.clip(p, 1e-4, 1.0 - 1e-4))
 
 
-def _link_fractions(links, at_risk):
-    out = np.full(len(links), 0.5)
-    pos = at_risk > 0
-    out[pos] = links[pos] / at_risk[pos]
-    return out
-
-
 def empirical_initial_theta(comp: Component, model) -> np.ndarray:
     """Per-site empirical link logits (observed links over observed people at
-    risk), followed by the family's starting values of its other parameters."""
+    risk), followed by the family's starting values of its other parameters.
+
+    A site's own table adds neither links nor people at risk to that site;
+    a site with nobody at risk starts at probability 0.5."""
     n = model.n
     links = np.zeros(n)
     at_risk = np.zeros(n)
-    r = comp.r
-    for i in range(n):
-        links[i] += sum(c for x, c in comp.between.items() if (x >> i) & 1)
-        at_risk[i] += r
-        for l, (counts, size) in enumerate(zip(comp.within, comp.m)):
-            if l == i:
-                continue
-            links[i] += sum(c for x, c in counts.items() if (x >> i) & 1)
-            at_risk[i] += size
-    site_logits = _safe_logit(_link_fractions(links, at_risk))
-    return np.concatenate([site_logits, model.extra_start])
+    for site, pats, counts, people in comp.tables:
+        table_links = counts @ ((pats[:, None] >> np.arange(n)) & 1)
+        table_risk = np.full(n, float(people))
+        if site is not None:
+            table_links[site] = table_risk[site] = 0.0
+        links += table_links
+        at_risk += table_risk
+    fractions = np.divide(links, at_risk, out=np.full(n, 0.5), where=at_risk > 0)
+    return np.concatenate([_safe_logit(fractions), model.extra_start])
 
 
 # ---------------------------------------------------------------------------
 # Fits
 
 
-def _integer_size_ascent(comp: Component, model, theta0, options: FitOptions):
+def _integer_size_ascent(comp: Component, model, theta0):
     """Block ascent on (integer size, parameters).
 
     The floored ratio value is the exact integer maximizer of the joint
@@ -310,9 +304,8 @@ def _integer_size_ascent(comp: Component, model, theta0, options: FitOptions):
     tau_int = max(_floor_guarded(closed_real(theta)), size_min)
     total_iter = 0
     best = -np.inf
-    for sweep in range(1, options.max_sweeps + 1):
-        res = _maximize(fg_at(tau_int), theta, lower,
-                        options.score_tol, options.max_iter)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        res = _maximize(fg_at(tau_int), theta, lower)
         total_iter += res.iterations
         if not res.converged:
             raise NoConvergence(
@@ -332,8 +325,7 @@ def _integer_size_ascent(comp: Component, model, theta0, options: FitOptions):
         for cand in (tau_int - 1, tau_int + 1):
             if cand < size_min:
                 continue
-            alt = _maximize(fg_at(cand), theta, lower,
-                            options.score_tol, options.max_iter)
+            alt = _maximize(fg_at(cand), theta, lower)
             total_iter += alt.iterations
             if alt.converged and alt.value > best + 1e-9:
                 theta, best, tau_int = alt.theta, alt.value, cand
@@ -345,11 +337,10 @@ def _integer_size_ascent(comp: Component, model, theta0, options: FitOptions):
             _projected_grad(res.grad, theta, lower))))
         return theta, tau_int, closed_real(theta), total_iter, sweep, score_norm
     raise NoConvergence(
-        f"size/parameter alternation unconverged after {options.max_sweeps} sweeps")
+        f"size/parameter alternation unconverged after {MAX_SWEEPS} sweeps")
 
 
-def fit_component(comp: Component, model, method: str, theta0=None,
-                  options: FitOptions | None = None) -> ComponentFit:
+def fit_component(comp: Component, model, method: str, theta0=None) -> ComponentFit:
     """Fit one part of the population with the requested method.
 
     ``cmle`` maximizes the conditional likelihood from ``theta0`` (default:
@@ -362,7 +353,6 @@ def fit_component(comp: Component, model, method: str, theta0=None,
     """
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
-    options = options or FitOptions()
     if comp.r == 0 and not any(comp.within):
         raise Unidentifiable("no link-traced people: the link parameters are not identified")
     iterations = 0
@@ -374,8 +364,7 @@ def fit_component(comp: Component, model, method: str, theta0=None,
             terms = loglik_cond(comp, th, model)
             return terms.value, terms.grad_theta
 
-        res = _maximize(fg, start, model.lower_bounds,
-                        options.score_tol, options.max_iter)
+        res = _maximize(fg, start, model.lower_bounds)
         if not res.converged:
             raise NoConvergence(
                 f"conditional parameter solve stalled after {res.iterations} iterations "
@@ -390,7 +379,7 @@ def fit_component(comp: Component, model, method: str, theta0=None,
                                 converged=True)
         theta0, iterations = res.theta, res.iterations
     theta, tau, tau_real, iters, sweeps, score_norm = _integer_size_ascent(
-        comp, model, theta0, options)
+        comp, model, theta0)
     return ComponentFit(theta=theta, tau_real=tau_real, tau=tau,
                         iterations=iterations + iters, sweeps=sweeps,
                         grad_norm=score_norm, converged=True)
@@ -399,44 +388,39 @@ def fit_component(comp: Component, model, method: str, theta0=None,
 # Per-part entry points: kept for callers of the per-part API, and because
 # mcbench/tracing.py rebinds these names on this module.
 
-def _init(options: FitOptions | None, part: int):
-    return None if options is None else getattr(options, f"init_theta{part}")
-
-
-def fit_cmle_1(data: SampleData, model1, options: FitOptions | None = None) -> ComponentFit:
+def fit_cmle_1(data: SampleData, model1, theta0=None) -> ComponentFit:
     """:func:`fit_component` with ``cmle`` on the frame-covered part."""
-    return fit_component(data.covered, model1, "cmle", _init(options, 1), options)
+    return fit_component(data.covered, model1, "cmle", theta0)
 
 
-def fit_umle_1(data: SampleData, model1, options: FitOptions | None = None) -> ComponentFit:
+def fit_umle_1(data: SampleData, model1, theta0=None) -> ComponentFit:
     """:func:`fit_component` with ``umle`` on the frame-covered part."""
-    return fit_component(data.covered, model1, "umle", _init(options, 1), options)
+    return fit_component(data.covered, model1, "umle", theta0)
 
 
-def fit_2(data: SampleData, model2, method: str,
-          options: FitOptions | None = None) -> ComponentFit:
+def fit_2(data: SampleData, model2, method: str, theta0=None) -> ComponentFit:
     """:func:`fit_component` on the frame-uncovered part."""
-    return fit_component(data.uncovered, model2, method, _init(options, 2), options)
+    return fit_component(data.uncovered, model2, method, theta0)
 
 
 def fit_total(data: SampleData, model1, model2, method: str,
-              options: FitOptions | None = None) -> EstimateReport:
+              start=None) -> EstimateReport:
     """Fit both subpopulations with one method and add the floored sizes.
 
+    ``start`` is an optional ``(theta1, theta2)`` pair of starting
+    parameters, passed to :func:`fit_component` as each part's ``theta0``.
     The same method is used for both parts; component failures are re-raised
     with the failing component named.
     """
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
-    options = options or FitOptions()
-    parts = (("covered", "frame-covered component", data.covered, model1,
-              options.init_theta1),
-             ("uncovered", "outside-frame component", data.uncovered, model2,
-              options.init_theta2))
+    theta1, theta2 = (None, None) if start is None else start
+    parts = (("covered", "frame-covered component", data.covered, model1, theta1),
+             ("uncovered", "outside-frame component", data.uncovered, model2, theta2))
     fits = {}
     for key, label, comp, model, theta0 in parts:
         try:
-            fits[key] = fit_component(comp, model, method, theta0, options)
+            fits[key] = fit_component(comp, model, method, theta0)
         except SnowlinkError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
     fit1, fit2 = fits["covered"], fits["uncovered"]

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvariantViolation, ParseError, SnowlinkError
-from .estimators import FitOptions, fit_total
+from .estimators import fit_total
 from .simulator import (
     PopulationConfig,
     draw_sample,
@@ -121,7 +121,7 @@ def _replicate_rows(config: ExperimentConfig, index: int) -> list[dict]:
     data, truth = draw_sample(pop, rng)
     zcrit = float(ndtri(0.5 * (1.0 + config.level)))
     rows = [None] * len(config.methods)
-    warm = FitOptions()
+    warm = None
     # cmle runs first: its parameters are the conditional fit that umle
     # otherwise solves again as its warm start, bit for bit
     for i in sorted(range(len(config.methods)), key=lambda i: config.methods[i] != "cmle"):
@@ -132,10 +132,9 @@ def _replicate_rows(config: ExperimentConfig, index: int) -> list[dict]:
             "m": data.m_total, "r1": data.r1, "r2": data.r2,
         }
         try:
-            report = fit_total(data, pop.model1, pop.model2, method,
-                               warm if method == "umle" else FitOptions())
+            report = fit_total(data, pop.model1, pop.model2, method, warm)
             if method == "cmle":
-                warm = FitOptions(init_theta1=report.theta1, init_theta2=report.theta2)
+                warm = (report.theta1, report.theta2)
             attach_variance(report, data, pop.model1, pop.model2,
                             level=config.level, source=config.variance_source)
             v = report.variance

@@ -54,16 +54,16 @@ def _require_positive(probs, what: str):
         raise NonFiniteLikelihood(f"{what} underflowed to zero")
 
 
-def _counted_terms(model, theta, counts, within_site=None):
-    """Sum of count * log(prob) and its gradient over a sparse count map."""
-    if not counts:
+def _counted_terms(model, theta, table):
+    """Sum of count * log(prob) and its gradient over one of
+    :attr:`~snowlink.patterns.Component.tables`."""
+    site, pats, counts, _ = table
+    if not len(pats):
         return 0.0, np.zeros(model.q)
-    pats = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    cnts = np.fromiter(counts.values(), dtype=float, count=len(counts))
-    probs, grads = model.probs_and_grads(theta, pats, within_site)
+    probs, grads = model.probs_and_grads(theta, pats, site)
     _require_positive(probs, "an observed pattern probability")
-    value = float(cnts @ np.log(probs))
-    grad = (cnts / probs) @ grads
+    value = float(counts @ np.log(probs))
+    grad = (counts / probs) @ grads
     return value, grad
 
 
@@ -71,11 +71,12 @@ def _within_terms(comp: Component, theta, model):
     """Within-site contributions, including each site's derived zero-pattern count."""
     value = 0.0
     grad = np.zeros(model.q)
-    for l, (counts, size) in enumerate(zip(comp.within, comp.m)):
-        v, g = _counted_terms(model, theta, counts, within_site=l)
+    for table in comp.tables[1:]:
+        l, _, counts, people = table
+        v, g = _counted_terms(model, theta, table)
         value += v
         grad += g
-        unlinked = size - sum(counts.values())
+        unlinked = people - counts.sum()
         if unlinked > 0:
             probs, grads = model.probs_and_grads(theta, [0], within_site=l)
             _require_positive(probs, f"the zero-pattern probability within site {l}")
@@ -96,7 +97,7 @@ def loglik_full(comp: Component, tau: float, theta, model) -> LogLikTerms:
     unobserved = tau - m - r
     value = float(gammaln(tau + 1.0) - gammaln(unobserved + 1.0)
                   + xlogy(tau - m, comp.f))
-    v, grad = _counted_terms(model, theta, comp.between)
+    v, grad = _counted_terms(model, theta, comp.tables[0])
     value += v
     p0, g0 = model.zero_prob_and_grad(theta)
     if unobserved > 0:
@@ -117,7 +118,7 @@ def loglik_cond(comp: Component, theta, model) -> LogLikTerms:
         )
     p0, g0 = model.zero_prob_and_grad(theta)
     _require_positive(1.0 - p0, "the escape probability (1 - zero-pattern mass)")
-    v, grad = _counted_terms(model, theta, comp.between)
+    v, grad = _counted_terms(model, theta, comp.tables[0])
     r = comp.r
     value = v - r * np.log1p(-p0)
     grad = grad + (r / (1.0 - p0)) * g0

@@ -285,11 +285,12 @@ def model_from_spec(spec: dict):
     try:
         family = spec["family"]
         n = int(spec["n"])
+        if family == "rasch":
+            nodes = int(spec.get("quadrature_nodes", DEFAULT_QUADRATURE_NODES))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model spec {spec!r}: {exc}") from exc
     if family == "homogeneous":
         return HomogeneousLinkModel(n)
     if family == "rasch":
-        nodes = int(spec.get("quadrature_nodes", DEFAULT_QUADRATURE_NODES))
         return RaschLinkModel(n, quadrature_nodes=nodes)
     raise ParseError(f"unknown link-model family {family!r}")

@@ -12,13 +12,17 @@ per-site sizes and the three families of sparse pattern-count maps.  The
 all-zero pattern is never a key; its counts are unobserved (for people outside
 the initial site sample) or derived (inside a sampled site).  Its two parts,
 frame-covered and frame-uncovered, are read through one :class:`Component`
-view, so every per-part computation is written once.
+view, so every per-part computation is written once.  A component turns its
+count maps into arrays once, in :attr:`Component.tables`, and the
+likelihood, the starting values and the empirical covariance all read those
+arrays; :class:`SampleData` itself keeps only the maps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -111,13 +115,30 @@ class Component:
     within: tuple[dict[int, int], ...]
     f: float
 
-    @property
+    @cached_property
     def m_total(self) -> int:
         return sum(self.m)
 
-    @property
+    @cached_property
     def r(self) -> int:
         return sum(self.between.values())
+
+    @cached_property
+    def tables(self) -> tuple[tuple[int | None, np.ndarray, np.ndarray, int], ...]:
+        """Each count map as ``(site, patterns, counts, people)`` arrays.
+
+        The outside-linked map comes first, with ``site = None`` and
+        ``people = r``; then one entry per sampled site ``l``, with
+        ``site = l`` and ``people = m[l]``.  Patterns are ``int64`` and counts
+        ``float``, both in the map's key order.
+        """
+        maps = [(None, self.between, self.r)]
+        maps += [(l, w, size) for l, (w, size) in enumerate(zip(self.within, self.m))]
+        return tuple(
+            (site, np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)),
+             np.fromiter(counts.values(), dtype=float, count=len(counts)), people)
+            for site, counts, people in maps
+        )
 
 
 @dataclass(frozen=True)
@@ -222,7 +243,7 @@ def _counts_from_json(items, n: int, label: str) -> dict[int, int]:
         try:
             x = pattern_from_string(item["pattern"], n)
             c = int(item["count"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{label}: malformed entry {item!r}") from exc
         out[x] = out.get(x, 0) + c
     return out

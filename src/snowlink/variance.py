@@ -351,42 +351,40 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
         raise DegenerateDenominator(
             "the zero-pattern vector divides by (1 - n/N) * pi0"
         )
-    rows: list[np.ndarray] = []
-    weights: list[float] = []
-
-    def add(vec, w, size_score=1.0):
-        if w > 0:
-            rows.append(np.concatenate([[size_score], vec]) if joint else vec)
-            weights.append(float(w))
-
     escape = 1.0 - pi0
-    if comp.between:
-        pats = list(comp.between)
-        probs, grads = model.probs_and_grads(theta_hat, pats)
-        _positive(probs, "an observed pattern probability")
-        for k, x in enumerate(pats):
-            if joint:
-                vec = grads[k] / probs[k]
-            else:
-                tp = probs[k] / escape
-                tg = grads[k] / escape + probs[k] * g0 / escape**2
-                vec = tg / tp
-            add(vec, comp.between[x])
-    for l, (site_counts, size) in enumerate(zip(comp.within, comp.m)):
-        pats = list(site_counts) + [0]
-        counts = list(site_counts.values())
-        counts.append(size - sum(counts))
-        probs, grads = model.probs_and_grads(theta_hat, pats, within_site=l)
-        _positive(probs, f"a within-site pattern probability (site {l})")
-        for k in range(len(pats)):
-            add(grads[k] / probs[k], counts[k])
-    unobserved = tau_hat - observed
+    blocks, weights = [], []
+    for site, pats, counts, people in comp.tables:
+        if site is None:
+            if not len(pats):
+                continue
+            what = "an observed pattern probability"
+        else:
+            # the site's unlinked people take the zero pattern
+            pats = np.append(pats, 0)
+            counts = np.append(counts, people - counts.sum())
+            what = f"a within-site pattern probability (site {site})"
+        probs, grads = model.probs_and_grads(theta_hat, pats, within_site=site)
+        _positive(probs, what)
+        if site is None and not joint:
+            # scores of the zero-truncated pattern draw
+            tg = grads / escape + probs[:, None] * g0 / escape**2
+            vecs = tg / (probs / escape)[:, None]
+        else:
+            vecs = grads / probs[:, None]
+        blocks.append(np.hstack([np.ones((len(vecs), 1)), vecs]) if joint else vecs)
+        weights.append(counts)
     if joint:
-        add(g0 / pi0, unobserved, size_score=-(1.0 - f * pi0) / (f * pi0))
+        size_score = -(1.0 - f * pi0) / (f * pi0)
+        blocks.append(np.concatenate([[size_score], g0 / pi0])[None, :])
     else:
-        add(np.zeros(q), unobserved)
+        blocks.append(np.zeros((1, q)))
+    weights.append([float(tau_hat - observed)])
+    w = np.concatenate(weights)
+    # a site with no unlinked people, or a part with no unobserved ones, adds no row
+    keep = w > 0
+    V, w = np.vstack(blocks)[keep], w[keep]
     dim = q + 1 if joint else q
-    total = sum(weights)
+    total = float(w.sum())
     if total != tau_hat:
         raise DomainError(
             f"person accounting failed: {total} weighted vectors for tau_hat={tau_hat}"
@@ -396,8 +394,6 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
             f"{total} effective observations are too few for a {dim}-dimensional "
             "covariance"
         )
-    V = np.vstack(rows)
-    w = np.asarray(weights)
     mean = (w @ V) / total
     centered = V - mean
     M = (centered.T * w) @ centered / (total - 1.0)

@@ -130,3 +130,50 @@ def test_experiment_csv_cells_read_back_as_numbers(tmp_path, population_file):
             if column not in ("method", "error"):
                 float(cell)
         assert float(row["tau_lo"]) <= float(row["tau_hat"]) <= float(row["tau_hi"])
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_bad_worker_count_exits_nonzero(tmp_path, population_file,
+                                                   capsys, workers):
+    config = {"population": json.loads(population_file.read_text()), "replicates": 1}
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--workers", workers,
+                 "--out-dir", str(tmp_path / "results")]) == 1
+    assert "error: parallelism must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_estimate_non_integer_count_exits_nonzero(tmp_path, capsys):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({
+        "n": 2, "N": 5, "m": [3, 4],
+        "between1": [{"pattern": "10", "count": "two"}],
+    }))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": 2}))
+    assert main(["estimate", "--data", str(sample), "--model", str(model),
+                 "--method", "cmle", "--out", str(tmp_path / "r.json")]) == 1
+    assert "error: between1: malformed entry" in capsys.readouterr().err
+
+
+def test_matrices_theta_without_values_exits_nonzero(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": 2}))
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"theta": [0.1, 0.2]}))
+    assert main(["matrices", "--model", str(model), "--theta", str(theta),
+                 "--design", "2,6", "--which", "psi1",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_matrices_bad_quadrature_node_count_exits_nonzero(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "rasch", "n": 2, "quadrature_nodes": "many"}))
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps([0.1, 0.2, 0.5]))
+    assert main(["matrices", "--model", str(model), "--theta", str(theta),
+                 "--design", "2,6", "--which", "psi1",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "error: malformed model spec" in capsys.readouterr().err

@@ -6,9 +6,9 @@ from scipy.special import expit, gammaln, logit
 
 from snowlink import (
     DegenerateDenominator,
-    FitOptions,
     HomogeneousLinkModel,
     NoConvergence,
+    RaschLinkModel,
     SampleData,
     Unidentifiable,
     attach_variance,
@@ -17,6 +17,7 @@ from snowlink import (
     fit_total,
     fit_umle_1,
 )
+from snowlink import estimators
 from snowlink.estimators import _closed_form
 from snowlink.simulator import (
     ConditionalMultinomial,
@@ -216,9 +217,9 @@ def test_flat_zero_pattern_makes_methods_coincide():
     rng = np.random.default_rng(7)
     data = random_sample_data(rng, n=3, N=8)
     model = FlatZeroPatternModel(3, zero_mass=0.4)
-    opts = FitOptions(init_theta1=np.array([0.1]))
-    cm = fit_cmle_1(data, model, opts)
-    um = fit_umle_1(data, model, opts)
+    start = np.array([0.1])
+    cm = fit_cmle_1(data, model, start)
+    um = fit_umle_1(data, model, start)
     assert abs(cm.theta[0] - um.theta[0]) <= 1e-7
     assert cm.tau == um.tau
     assert cm.tau_real == pytest.approx(um.tau_real, rel=1e-10)
@@ -239,11 +240,27 @@ def test_cmle_depends_only_on_observed_counts():
     assert fit_a.tau != fit_b.tau  # the size estimate does use the design
 
 
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_empirical_initial_theta_by_hand(family):
+    # site 0: links 2 + 1 (outside) + 2 (site 1's table) over 3 + 4 at risk;
+    # site 1: links 1 (outside) + 1 (site 0's table) over 3 + 3 at risk
+    data = SampleData(n=2, N=5, m=(3, 4), between1={0b01: 2, 0b11: 1},
+                      within=({0b10: 1}, {0b01: 2}))
+    model = HomogeneousLinkModel(2) if family == "homogeneous" else RaschLinkModel(2)
+    extra = [0.5] if family == "rasch" else []
+    covered = estimators.empirical_initial_theta(data.covered, model)
+    np.testing.assert_allclose(covered, np.r_[logit([5 / 7, 1 / 3]), extra],
+                               rtol=0, atol=1e-15)
+    # nobody outside the frame: every site starts at probability 0.5
+    uncovered = estimators.empirical_initial_theta(data.uncovered, model)
+    np.testing.assert_allclose(uncovered, np.r_[0.0, 0.0, extra], rtol=0, atol=1e-15)
+
+
 def test_fit2_closed_form_arithmetic():
     # constant empty-pattern mass 0.5 and forty observed people: size 80
     model = FlatZeroPatternModel(2, zero_mass=0.5)
     data = SampleData(n=2, N=6, m=(1, 1), between2={0b01: 18, 0b10: 12, 0b11: 10})
-    fit = fit_2(data, model, "cmle", FitOptions(init_theta2=np.array([0.0])))
+    fit = fit_2(data, model, "cmle", np.array([0.0]))
     assert fit.tau_real == pytest.approx(80.0, rel=1e-12)
     assert fit.tau == 80
 
@@ -258,8 +275,7 @@ def test_minimal_single_site_conditional_is_documented_flat_case():
     # one site: the conditional likelihood is flat, the solver stays at its
     # initializer and still reports convergence (score is exactly zero)
     data = SampleData(n=1, N=5, m=(6,), between1={1: 4})
-    fit = fit_cmle_1(data, HomogeneousLinkModel(1),
-                     FitOptions(init_theta1=np.array([0.2])))
+    fit = fit_cmle_1(data, HomogeneousLinkModel(1), np.array([0.2]))
     assert fit.converged
     assert fit.theta[0] == pytest.approx(0.2)
 
@@ -314,25 +330,25 @@ def test_umle_without_start_warm_starts_from_the_conditional_fit(part):
         model = config.model1
         cm = fit_cmle_1(data, model)
         um = fit_umle_1(data, model)
-        ascent = fit_umle_1(data, model, FitOptions(init_theta1=cm.theta))
+        ascent = fit_umle_1(data, model, cm.theta)
     else:
         model = config.model2
         cm = fit_2(data, model, "cmle")
         um = fit_2(data, model, "umle")
-        ascent = fit_2(data, model, "umle", FitOptions(init_theta2=cm.theta))
+        ascent = fit_2(data, model, "umle", cm.theta)
     assert cm.iterations > 0 and ascent.iterations > 0
     assert um.iterations == cm.iterations + ascent.iterations
     assert np.array_equal(um.theta, ascent.theta)
     assert (um.tau, um.tau_real, um.sweeps) == (ascent.tau, ascent.tau_real, ascent.sweeps)
 
 
-def test_no_convergence_surfaces():
+def test_no_convergence_surfaces(monkeypatch):
     config = _acceptance_style_config(tau1=600, tau2=300)
     data, _ = draw_sample(config, replicate_rng(9, 4))
+    monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
     # start far away so the floored size moves in the first sweep
-    opts = FitOptions(max_sweeps=1, init_theta1=np.full(4, 3.0))
     with pytest.raises(NoConvergence):
-        fit_umle_1(data, config.model1, opts)
+        fit_umle_1(data, config.model1, np.full(4, 3.0))
 
 
 def test_same_method_enforced_and_failures_labeled():

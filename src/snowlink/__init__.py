@@ -73,14 +73,12 @@ from .variance import (
     attach_variance,
     empirical_v_covariance,
     psi1_inverse,
-    scalar_variances,
     sigma1_inverse,
     sigma1_sq_cmle,
     sigma1_sq_umle,
     sigma2_inverse,
     sigma2_sq,
     theta_covariances,
-    wald_intervals,
 )
 
 __version__ = "0.1.0"

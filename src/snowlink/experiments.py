@@ -71,6 +71,8 @@ class ExperimentConfig:
                 f"methods must be a nonempty subset of umle/cmle without repeats, got {self.methods}")
         if self.parallelism < 1:
             raise InvariantViolation("parallelism must be >= 1")
+        if self.master_seed < 0:
+            raise InvariantViolation(f"master_seed must be >= 0, got {self.master_seed}")
         if self.variance_source not in ("analytic", "empirical_v"):
             raise InvariantViolation(f"unknown variance source {self.variance_source!r}")
 

@@ -48,6 +48,7 @@ from .errors import (
     ParseError,
     ScopeViolation,
 )
+from .patterns import MAX_SITES
 
 DEFAULT_QUADRATURE_NODES = 100
 
@@ -99,8 +100,9 @@ class MixtureLinkModel:
     extra_start: tuple = ()
 
     def __init__(self, n: int, weights: np.ndarray):
-        if n < 1:
-            raise DomainError(f"site count must be >= 1, got {n}")
+        if not 1 <= n <= MAX_SITES:
+            raise DomainError(f"need 1 <= n <= {MAX_SITES}: a pattern bitmask holds "
+                              f"at most {MAX_SITES} sites, got n={n}")
         self.n = n
         self.q = n + len(self.extra_lower)
         self._weights = weights

@@ -29,6 +29,9 @@ import numpy as np
 
 from .errors import InvariantViolation, ParseError, PatternSpaceTooLarge
 
+#: Patterns are ``int64`` bitmasks, so a design has at most this many sites.
+MAX_SITES = 63
+
 #: Full enumeration is refused above this many sites (2**20 ~ 1e6 patterns).
 #: Sparse code paths that only touch observed patterns have no such guard.
 ENUMERATION_GUARD = 20
@@ -173,6 +176,9 @@ class SampleData:
     def __post_init__(self):
         if not 1 <= self.n <= self.N:
             raise InvariantViolation(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
+        if self.n > MAX_SITES:
+            raise InvariantViolation(
+                f"a pattern bitmask holds at most {MAX_SITES} sites, got n={self.n}")
         m = tuple(int(v) for v in self.m)
         if len(m) != self.n:
             raise InvariantViolation(f"m has length {len(m)}, expected n={self.n}")

@@ -107,6 +107,9 @@ class GroundTruth:
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     """Child generator for one replicate: PCG64 seeded from the pair
     ``(master_seed, index)`` so replicates are independent and reproducible."""
+    if master_seed < 0 or index < 0:
+        raise DomainError(
+            f"master_seed and index must be >= 0, got ({master_seed}, {index})")
     return np.random.default_rng(np.random.SeedSequence((master_seed, index)))
 
 

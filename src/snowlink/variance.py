@@ -1,6 +1,6 @@
 """Asymptotic variances: analytic precision matrices, scalar variances for the
-size estimates, an empirical per-person-vector covariance estimator, and Wald
-intervals.
+size estimates, an empirical per-person-vector covariance estimator, and the
+variance report with its Wald intervals.
 
 Three precision matrices are available:
 
@@ -15,10 +15,16 @@ Three precision matrices are available:
 
 The uncovered part is the covered part with escape factor ``f = 1`` and no
 sites, so ``sigma1`` and ``sigma2`` share one assembly around their parameter
-blocks, one function turns a joint matrix into the unconditional route's
-scalar variance and parameter covariance, and the empirical estimator walks
-both parts' person vectors in one loop.  The builders keep their own guards:
-``sigma1`` refuses a vanishing ``f pi0`` before dividing by it.
+blocks, and the empirical estimator walks both parts' person vectors in one
+loop.  The builders keep their own guards: ``sigma1`` refuses a vanishing
+``f pi0`` before dividing by it.
+
+One function, :func:`_route`, turns any of the three matrices into a part's
+scalar variance and link-parameter covariance ``C``.  The two fitting routes
+differ only in ``C``: for a joint matrix it is the inverse of the parameter
+block of the joint covariance, for ``psi1`` the inverse of ``psi1`` itself.
+The size variance is then ``fac (pi0 + fac g0^T C g0)`` with
+``fac = f / (1 - f pi0)`` for both routes and both parts.
 
 Their parameter blocks are sums of ``grad grad^T / prob`` over a pattern
 space, all taken by :func:`_information`.  For the homogeneous family that
@@ -35,8 +41,10 @@ population-share-weighted mixture of the component variances.
 :func:`attach_variance` makes one pass per estimate.  It builds the
 method-matched covered-part matrix (``sigma1`` for ``umle``, ``psi1`` for
 ``cmle``) and ``sigma2`` once each, analytically or as empirical estimates,
-and derives from them both the scalar variances and the link-parameter
-covariances, which it keeps on the :class:`VarianceReport`.
+and passes each through :func:`_route`, as the public scalar variances do.
+It keeps the link-parameter covariances on the :class:`VarianceReport`: the
+covered one from the route, the uncovered one as the parameter corner of the
+inverse of ``sigma2``.
 :func:`theta_covariances` only returns that stored pair, so it follows the
 variance source and needs :func:`attach_variance` first.
 
@@ -239,66 +247,38 @@ def sigma2_inverse(theta2, model2) -> AsymptoticMatrices:
 # Scalar variances of the normalized size errors
 
 
-def _size_variance(fac: float, pi0: float, g0: np.ndarray, cov: np.ndarray) -> float:
-    return float(fac * (pi0 + fac * (g0 @ cov @ g0)))
-
-
-def _joint_route(theta, model, f: float, joint: np.ndarray):
+def _route(theta, model, f: float, mats: AsymptoticMatrices):
     """Scalar variance and parameter covariance of a part with escape factor
-    ``f`` under unconditional fitting, from its joint precision matrix (the
-    uncovered part, ``f = 1``, uses this for both routes)."""
+    ``f``, from any of the three precision matrices (see the module
+    docstring for the formulas)."""
     pi0, g0 = model.zero_prob_and_grad(theta)
     denom = 1.0 - f * pi0
-    sub = joint[1:, 1:] - (f / (pi0 * denom)) * np.outer(g0, g0)
-    cov, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
-    return _size_variance(f / denom, pi0, g0, cov), cov
-
-
-def _covered_cmle(theta1, model1, n: int, N: int, cov: np.ndarray) -> float:
-    """Scalar variance of the covered part under conditional fitting, from
-    the parameter covariance (the inverse of ``psi1``)."""
-    f = 1.0 - n / N
-    pi0, g0 = model1.zero_prob_and_grad(theta1)
-    return _size_variance(f / (1.0 - f * pi0), pi0, g0, cov)
-
-
-def _psi1_covariance(mats: AsymptoticMatrices) -> np.ndarray:
-    """The inverse of a ``psi1`` matrix: its stored covariance form, or, for
-    an empirical estimate kept without one, the inversion that raises
-    :class:`~snowlink.errors.SingularMatrix` with the reason."""
-    if mats.covariance_form is not None:
-        return mats.covariance_form
-    return _guarded_inverse(mats.inverse_form, "the conditional parameter precision")[0]
+    if mats.which == "psi1":
+        cov = mats.covariance_form
+        if cov is None:
+            # an empirical estimate kept without an inverse: say why
+            cov, _ = _guarded_inverse(mats.inverse_form, "the conditional parameter precision")
+    else:
+        sub = mats.inverse_form[1:, 1:] - (f / (pi0 * denom)) * np.outer(g0, g0)
+        cov, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
+    fac = f / denom
+    return float(fac * (pi0 + fac * (g0 @ cov @ g0))), cov
 
 
 def sigma1_sq_umle(theta1, model1, n: int, N: int) -> float:
     """Variance of the normalized size error under unconditional fitting."""
-    sigma1_inv = sigma1_inverse(theta1, model1, n, N).inverse_form
-    return _joint_route(theta1, model1, 1.0 - n / N, sigma1_inv)[0]
+    return _route(theta1, model1, 1.0 - n / N, sigma1_inverse(theta1, model1, n, N))[0]
 
 
 def sigma1_sq_cmle(theta1, model1, n: int, N: int) -> float:
     """Variance of the normalized size error under conditional fitting."""
-    cov = psi1_inverse(theta1, model1, n, N).covariance_form
-    return _covered_cmle(theta1, model1, n, N, cov)
+    return _route(theta1, model1, 1.0 - n / N, psi1_inverse(theta1, model1, n, N))[0]
 
 
 def sigma2_sq(theta2, model2) -> float:
     """Variance of the normalized size error for the frame-uncovered part
     (shared by both fitting routes)."""
-    return _joint_route(theta2, model2, 1.0, sigma2_inverse(theta2, model2).inverse_form)[0]
-
-
-def scalar_variances(theta1, model1, theta2, model2, n: int, N: int,
-                     method: str) -> tuple[float, float]:
-    """Method-matched scalar variances (covered part, uncovered part)."""
-    if method == "umle":
-        s1 = sigma1_sq_umle(theta1, model1, n, N)
-    elif method == "cmle":
-        s1 = sigma1_sq_cmle(theta1, model1, n, N)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return s1, sigma2_sq(theta2, model2)
+    return _route(theta2, model2, 1.0, sigma2_inverse(theta2, model2))[0]
 
 
 def theta_covariances(report: EstimateReport, data: SampleData, model1, model2):
@@ -464,18 +444,6 @@ def _interval_set(tau1: int, tau2: int, s1: float, s2: float, level: float):
     return combined, intervals
 
 
-def wald_intervals(report: EstimateReport, level: float = 0.95) -> dict:
-    """Wald intervals for the three sizes, from a variance-enriched report."""
-    if report.variance is None:
-        raise DomainError("the report carries no variance estimates yet")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
-    v = report.variance
-    _, intervals = _interval_set(report.tau1, report.tau2,
-                                 v.sigma1_sq, v.sigma2_sq, level)
-    return intervals
-
-
 def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
                     level: float = 0.95, source: str = "analytic") -> EstimateReport:
     """Compute method-matched variances, intervals and link-parameter
@@ -492,17 +460,15 @@ def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
     if report.method == "umle":
         m1 = (sigma1_inverse(theta1, model1, n, N) if analytic else
               empirical_v_covariance(data, theta1, report.tau1, model1, "sigma1"))
-        s1, cov1 = _joint_route(theta1, model1, 1.0 - n / N, m1.inverse_form)
     elif report.method == "cmle":
         m1 = (psi1_inverse(theta1, model1, n, N) if analytic else
               empirical_v_covariance(data, theta1, report.tau1, model1, "psi1"))
-        cov1 = _psi1_covariance(m1)
-        s1 = _covered_cmle(theta1, model1, n, N, cov1)
     else:
         raise DomainError(f"unknown method {report.method!r}")
+    s1, cov1 = _route(theta1, model1, 1.0 - n / N, m1)
     m2 = (sigma2_inverse(theta2, model2) if analytic else
           empirical_v_covariance(data, theta2, report.tau2, model2, "sigma2"))
-    s2, _ = _joint_route(theta2, model2, 1.0, m2.inverse_form)
+    s2, _ = _route(theta2, model2, 1.0, m2)
     cov2 = None if m2.covariance_form is None else m2.covariance_form[1:, 1:]
     combined, intervals = _interval_set(report.tau1, report.tau2, s1, s2, level)
     report.variance = VarianceReport(

@@ -177,3 +177,62 @@ def test_matrices_bad_quadrature_node_count_exits_nonzero(tmp_path, capsys):
                  "--design", "2,6", "--which", "psi1",
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "error: malformed model spec" in capsys.readouterr().err
+
+
+def _error_exit(argv, capsys):
+    """Run the CLI and return its stderr, asserting the configuration-error exit."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    return err
+
+
+def test_simulate_negative_seed_exits_nonzero(tmp_path, population_file, capsys):
+    err = _error_exit(["simulate", "--config", str(population_file), "--seed", "-1",
+                       "--out", str(tmp_path / "sample.json")], capsys)
+    assert "master_seed" in err
+    assert not (tmp_path / "sample.json").exists()
+
+
+def test_experiment_negative_master_seed_exits_nonzero(tmp_path, population_file,
+                                                       capsys):
+    config = {"population": json.loads(population_file.read_text()),
+              "replicates": 1, "master_seed": -1}
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps(config))
+    err = _error_exit(["experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "results")], capsys)
+    assert "master_seed must be >= 0" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_estimate_past_the_site_limit_exits_nonzero(tmp_path, capsys):
+    # patterns are int64 bitmasks: a 64th site has no bit of its own
+    n = 64
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({
+        "n": n, "N": 80, "m": [5] * n,
+        "between1": [{"pattern": "0" * (n - 1) + "1", "count": 2}],
+        "between2": [{"pattern": "1" + "0" * (n - 1), "count": 3}],
+    }))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": n}))
+    err = _error_exit(["estimate", "--data", str(sample), "--model", str(model),
+                       "--method", "cmle", "--out", str(tmp_path / "r.json")], capsys)
+    assert "at most 63 sites" in err
+
+
+def test_simulate_past_the_site_limit_exits_nonzero(tmp_path, capsys):
+    n = 64
+    population = tmp_path / "population.json"
+    population.write_text(json.dumps({
+        "N": 80, "n": n,
+        "cluster_mode": {"type": "conditional_multinomial", "tau1": 400},
+        "tau2": 200,
+        "model1": {"family": "homogeneous", "n": n},
+        "model2": {"family": "homogeneous", "n": n},
+        "theta1": [-3.0] * n, "theta2": [-3.0] * n,
+    }))
+    err = _error_exit(["simulate", "--config", str(population), "--seed", "3",
+                       "--out", str(tmp_path / "sample.json")], capsys)
+    assert "at most 63 sites" in err

@@ -8,6 +8,7 @@ from scipy.stats import binom, chisquare
 
 from snowlink import (
     ConditionalMultinomial,
+    DomainError,
     HomogeneousLinkModel,
     InvariantViolation,
     PoissonMean,
@@ -186,3 +187,9 @@ def test_invalid_configs_rejected():
         PoissonMean(0.0)
     with pytest.raises(InvariantViolation):
         ConditionalMultinomial(-1)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1)])
+def test_replicate_rng_rejects_negative_seeds(seed, index):
+    with pytest.raises(DomainError, match="must be >= 0"):
+        replicate_rng(seed, index)

@@ -17,14 +17,12 @@ from snowlink import (
     empirical_v_covariance,
     enumerate_patterns,
     psi1_inverse,
-    scalar_variances,
     sigma1_inverse,
     sigma1_sq_cmle,
     sigma1_sq_umle,
     sigma2_inverse,
     sigma2_sq,
     theta_covariances,
-    wald_intervals,
 )
 from snowlink.variance import _guarded_inverse, _interval_set
 
@@ -382,13 +380,6 @@ def test_uncovered_variance_vanishes_when_everyone_observed():
     assert sigma2_sq(theta, model) < 1e-4
 
 
-def test_scalar_variances_dispatch(rng):
-    model, theta = random_model(rng, 3, allow_rasch=False)
-    s1u, s2 = scalar_variances(theta, model, theta, model, 3, 9, "umle")
-    s1c, _ = scalar_variances(theta, model, theta, model, 3, 9, "cmle")
-    assert s1u != s1c and s2 > 0
-
-
 @pytest.mark.slow
 def test_monte_carlo_variance_oracle():
     # empirical variance of the normalized size error against the analytic
@@ -528,14 +519,6 @@ def test_degenerate_interval():
     assert intervals["tau"] == (60.0, 60.0)
 
 
-def test_wald_intervals_requires_variance():
-    report = EstimateReport(method="cmle", tau1_real=10.0, tau1=10,
-                            tau2_real=5.0, tau2=5,
-                            theta1=np.zeros(2), theta2=np.zeros(2))
-    with pytest.raises(DomainError):
-        wald_intervals(report, 0.95)
-
-
 def test_attach_variance_combined_weighting(rng):
     from snowlink import fit_total
     from snowlink.simulator import (ConditionalMultinomial, PopulationConfig,
@@ -556,8 +539,8 @@ def test_attach_variance_combined_weighting(rng):
         alpha1 * v.sigma1_sq + (1 - alpha1) * v.sigma2_sq, rel=1e-12
     )
     assert v.var_tau == pytest.approx(v.var_tau1 + v.var_tau2, rel=1e-12)
-    ints = wald_intervals(report, 0.9)
-    assert ints == v.intervals
+    assert v.intervals == _interval_set(report.tau1, report.tau2,
+                                        v.sigma1_sq, v.sigma2_sq, 0.9)[1]
     # empirical source runs end to end as well
     attach_variance(report, data, model, model, level=0.9, source="empirical_v")
     assert report.variance.source == "empirical_v"
@@ -604,6 +587,47 @@ def test_theta_covariances_bitwise_equal_to_rebuilt_matrices(family, method):
     assert np.array_equal(cov1, ref1)
     assert np.array_equal(cov2, ref2)
     assert "theta1_cov" not in report.variance.to_dict()
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_attach_variance_equals_the_scalar_variances(family):
+    # attach_variance and the public scalar variances take one route from the
+    # precision matrix, so at the report's parameters they agree bit for bit
+    from snowlink import fit_total
+    from snowlink.simulator import (ConditionalMultinomial, PopulationConfig,
+                                    draw_sample, replicate_rng)
+
+    n, N = 4, 10
+    if family == "rasch":
+        model, extra = RaschLinkModel(n, quadrature_nodes=20), [1.0]
+    else:
+        model, extra = HomogeneousLinkModel(n), []
+    config = PopulationConfig(N=N, n=n, cluster_mode=ConditionalMultinomial(2000),
+                              tau2=1500, model1=model, model2=model,
+                              theta1=np.r_[np.full(n, logit(0.35)), extra],
+                              theta2=np.r_[np.full(n, logit(0.3)), extra])
+    covered = {"umle": sigma1_sq_umle, "cmle": sigma1_sq_cmle}
+    for index in range(3):
+        data, _ = draw_sample(config, replicate_rng(11, index))
+        for method in ("umle", "cmle"):
+            report = fit_total(data, model, model, method)
+            v = attach_variance(report, data, model, model).variance
+            assert v.sigma1_sq == covered[method](report.theta1, model, n, N)
+            assert v.sigma2_sq == sigma2_sq(report.theta2, model)
+
+
+def test_empirical_psi1_without_inverse_names_the_conditional_precision():
+    # nobody is found inside the sampled sites, so the empirical psi1 is kept
+    # without an inverse; the covered cmle route then says why it fails
+    data = SampleData(n=2, N=5, m=(0, 0), between1={3: 5},
+                      between2={1: 3, 2: 2, 3: 1})
+    model = HomogeneousLinkModel(2)
+    report = EstimateReport(method="cmle", tau1_real=12.0, tau1=12,
+                            tau2_real=9.0, tau2=9,
+                            theta1=np.zeros(2), theta2=np.zeros(2))
+    with pytest.raises(SingularMatrix, match="the conditional parameter precision "
+                                             "is not positive definite"):
+        attach_variance(report, data, model, model, source="empirical_v")
 
 
 def test_theta_covariances_requires_variance():

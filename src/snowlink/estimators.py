@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ from .errors import (
 from .likelihood import loglik_cond, loglik_full
 # not called here: mcbench/tracing.py rebinds these per-part names on this module
 from .likelihood import loglik_2, loglik_cond_1, loglik_full_1  # noqa: F401
-from .patterns import Component, SampleData
+from .patterns import Component, SampleData, check_design
 
 
 #: Convergence: the projected score's infinity norm at most this.
@@ -290,12 +291,6 @@ def _integer_size_ascent(comp: Component, model, theta0):
     lower = model.lower_bounds
     size_min = comp.m_total + comp.r
 
-    def fg_at(tau_int):
-        def fg(th):
-            terms = loglik_full(comp, float(tau_int), th, model)
-            return terms.value, terms.grad_theta
-        return fg
-
     def closed_real(th):
         pi0, _ = model.zero_prob_and_grad(th)
         return _closed_form(comp.m_total, comp.r, comp.f, pi0)[0]
@@ -305,7 +300,7 @@ def _integer_size_ascent(comp: Component, model, theta0):
     total_iter = 0
     best = -np.inf
     for sweep in range(1, MAX_SWEEPS + 1):
-        res = _maximize(fg_at(tau_int), theta, lower)
+        res = _maximize(partial(loglik_full, comp, float(tau_int), model=model), theta, lower)
         total_iter += res.iterations
         if not res.converged:
             raise NoConvergence(
@@ -325,7 +320,7 @@ def _integer_size_ascent(comp: Component, model, theta0):
         for cand in (tau_int - 1, tau_int + 1):
             if cand < size_min:
                 continue
-            alt = _maximize(fg_at(cand), theta, lower)
+            alt = _maximize(partial(loglik_full, comp, float(cand), model=model), theta, lower)
             total_iter += alt.iterations
             if alt.converged and alt.value > best + 1e-9:
                 theta, best, tau_int = alt.theta, alt.value, cand
@@ -349,22 +344,26 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
     from ``theta0``; without one it starts at the conditional fit and counts
     that fit's iterations.  The result solves the simultaneous
     score/threshold system and attains the scanned joint maximum on
-    well-behaved instances.
+    well-behaved instances.  A part whose conditional likelihood has fewer
+    free pattern cells than the model has parameters raises
+    :class:`~snowlink.errors.Unidentifiable` before any fit.
     """
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
     if comp.r == 0 and not any(comp.within):
         raise Unidentifiable("no link-traced people: the link parameters are not identified")
+    # free cells of the conditional likelihood: the zero-truncated outside
+    # patterns, and each sampled site's within-site patterns
+    free = 2**model.n - 2 + len(comp.m) * (2**(model.n - 1) - 1)
+    if free < model.q:
+        raise Unidentifiable(
+            f"{model.q} link parameters but {free} free pattern cells: the link "
+            "parameters are not identified")
     iterations = 0
     if method == "cmle" or theta0 is None:
         start = (empirical_initial_theta(comp, model) if theta0 is None
                  else np.asarray(theta0, dtype=float))
-
-        def fg(th):
-            terms = loglik_cond(comp, th, model)
-            return terms.value, terms.grad_theta
-
-        res = _maximize(fg, start, model.lower_bounds)
+        res = _maximize(partial(loglik_cond, comp, model=model), start, model.lower_bounds)
         if not res.converged:
             raise NoConvergence(
                 f"conditional parameter solve stalled after {res.iterations} iterations "
@@ -410,10 +409,13 @@ def fit_total(data: SampleData, model1, model2, method: str,
     ``start`` is an optional ``(theta1, theta2)`` pair of starting
     parameters, passed to :func:`fit_component` as each part's ``theta0``.
     The same method is used for both parts; component failures are re-raised
-    with the failing component named.
+    with the failing component named.  A model whose site count is not the
+    sample's raises :class:`~snowlink.errors.DimensionMismatch`.
     """
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
+    check_design(model1, data.n, data.N)
+    check_design(model2, data.n, data.N)
     theta1, theta2 = (None, None) if start is None else start
     parts = (("covered", "frame-covered component", data.covered, model1, theta1),
              ("uncovered", "outside-frame component", data.uncovered, model2, theta2))

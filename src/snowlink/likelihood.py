@@ -28,7 +28,7 @@ because a vanishing pattern probability signals a model/data mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -40,8 +40,7 @@ from .patterns import Component, SampleData
 PI_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class LogLikTerms:
+class LogLikTerms(NamedTuple):
     """A log-likelihood value and its gradient in the link parameters."""
 
     value: float

@@ -27,7 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError, PatternSpaceTooLarge
+from .errors import (DimensionMismatch, DomainError, InvariantViolation, ParseError,
+                     PatternSpaceTooLarge)
 
 #: Patterns are ``int64`` bitmasks, so a design has at most this many sites.
 MAX_SITES = 63
@@ -63,6 +64,14 @@ def enumerate_patterns(n: int, excluded_site: int | None = None) -> list[int]:
     k = np.arange(1 << (n - 1), dtype=np.int64)
     low_mask = (1 << excluded_site) - 1
     return (((k & ~low_mask) << 1) | (k & low_mask)).tolist()
+
+
+def check_design(model, n: int, N: int):
+    """Refuse a link model whose site count is not the design's ``n``."""
+    if model.n != n:
+        raise DimensionMismatch(f"model has {model.n} sites but the design says {n}")
+    if not 1 <= n <= N:
+        raise DomainError(f"need 1 <= n <= N, got n={n}, N={N}")
 
 
 def pattern_to_string(x: int, n: int) -> str:

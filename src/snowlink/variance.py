@@ -42,11 +42,10 @@ population-share-weighted mixture of the component variances.
 method-matched covered-part matrix (``sigma1`` for ``umle``, ``psi1`` for
 ``cmle``) and ``sigma2`` once each, analytically or as empirical estimates,
 and passes each through :func:`_route`, as the public scalar variances do.
-It keeps the link-parameter covariances on the :class:`VarianceReport`: the
-covered one from the route, the uncovered one as the parameter corner of the
-inverse of ``sigma2``.
-:func:`theta_covariances` only returns that stored pair, so it follows the
-variance source and needs :func:`attach_variance` first.
+It keeps both parts' link-parameter covariances from the route on the
+:class:`VarianceReport`.  :func:`theta_covariances` only returns that stored
+pair, so it follows the variance source and needs :func:`attach_variance`
+first.
 
 Singular or ill-conditioned matrices are an error: the limit theory assumes
 non-singularity, so a violation must surface rather than be pseudo-inverted.
@@ -62,7 +61,6 @@ from scipy.special import expit, log_expit, ndtri
 
 from .errors import (
     DegenerateDenominator,
-    DimensionMismatch,
     DomainError,
     InsufficientData,
     NonFiniteLikelihood,
@@ -70,7 +68,7 @@ from .errors import (
 )
 from .estimators import EstimateReport
 from .link_model import HomogeneousLinkModel
-from .patterns import SampleData, enumerate_patterns
+from .patterns import SampleData, check_design, enumerate_patterns
 
 CONDITION_LIMIT = 1e12
 
@@ -129,13 +127,6 @@ def _positive(probs, what):
         raise NonFiniteLikelihood(f"{what} vanished")
 
 
-def _check_design(model, n: int, N: int):
-    if model.n != n:
-        raise DimensionMismatch(f"model has {model.n} sites but the design says {n}")
-    if not 1 <= n <= N:
-        raise DomainError(f"need 1 <= n <= N, got n={n}, N={N}")
-
-
 def _information(theta, model, within_site=None) -> np.ndarray:
     """The per-pattern information sum over a pattern space: over all ``2**n``
     between-site patterns, or over site ``within_site``'s within-site space.
@@ -192,7 +183,7 @@ def _joint(f: float, pi0: float, g0: np.ndarray, block: np.ndarray) -> np.ndarra
 
 
 def _sigma1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
-    _check_design(model1, n, N)
+    check_design(model1, n, N)
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
     if f * pi0 <= 1e-12:
@@ -212,7 +203,7 @@ def sigma1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
 
 
 def _psi1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
-    _check_design(model1, n, N)
+    check_design(model1, n, N)
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
     _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
@@ -254,10 +245,7 @@ def _route(theta, model, f: float, mats: AsymptoticMatrices):
     pi0, g0 = model.zero_prob_and_grad(theta)
     denom = 1.0 - f * pi0
     if mats.which == "psi1":
-        cov = mats.covariance_form
-        if cov is None:
-            # an empirical estimate kept without an inverse: say why
-            cov, _ = _guarded_inverse(mats.inverse_form, "the conditional parameter precision")
+        cov, _ = _guarded_inverse(mats.inverse_form, "the conditional parameter precision")
     else:
         sub = mats.inverse_form[1:, 1:] - (f / (pi0 * denom)) * np.outer(g0, g0)
         cov, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
@@ -292,11 +280,6 @@ def theta_covariances(report: EstimateReport, data: SampleData, model1, model2):
     v = report.variance
     if v is None:
         raise DomainError("the report carries no variance estimates yet")
-    if v.theta2_cov is None:
-        raise SingularMatrix(
-            f"the {v.source} sigma2 matrix has no inverse, so the uncovered "
-            "part has no parameter covariance"
-        )
     return v.theta1_cov, v.theta2_cov
 
 
@@ -317,6 +300,7 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
     """
     if which not in ("sigma1", "psi1", "sigma2"):
         raise DomainError(f"unknown matrix kind {which!r}")
+    check_design(model, data.n, data.N)
     comp = data.uncovered if which == "sigma2" else data.covered
     joint = which != "psi1"
     tau_hat = int(tau_hat)
@@ -391,8 +375,7 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
 class VarianceReport:
     """Scalar variances, point-estimate variances, Wald intervals, and the
     link-parameter covariances (``q x q``, of ``sqrt(tau) * error``; kept out
-    of :meth:`to_dict`).  ``theta2_cov`` is ``None`` when an empirical
-    ``sigma2`` estimate has no inverse."""
+    of :meth:`to_dict`)."""
 
     method: str
     source: str
@@ -405,7 +388,7 @@ class VarianceReport:
     level: float
     intervals: dict
     theta1_cov: np.ndarray = field(repr=False, compare=False)
-    theta2_cov: np.ndarray | None = field(repr=False, compare=False)
+    theta2_cov: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -468,8 +451,7 @@ def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
     s1, cov1 = _route(theta1, model1, 1.0 - n / N, m1)
     m2 = (sigma2_inverse(theta2, model2) if analytic else
           empirical_v_covariance(data, theta2, report.tau2, model2, "sigma2"))
-    s2, _ = _route(theta2, model2, 1.0, m2)
-    cov2 = None if m2.covariance_form is None else m2.covariance_form[1:, 1:]
+    s2, cov2 = _route(theta2, model2, 1.0, m2)
     combined, intervals = _interval_set(report.tau1, report.tau2, s1, s2, level)
     report.variance = VarianceReport(
         method=report.method, source=source,

@@ -236,3 +236,21 @@ def test_simulate_past_the_site_limit_exits_nonzero(tmp_path, capsys):
     err = _error_exit(["simulate", "--config", str(population), "--seed", "3",
                        "--out", str(tmp_path / "sample.json")], capsys)
     assert "at most 63 sites" in err
+
+
+@pytest.mark.parametrize("sites", [1, 3])
+def test_estimate_with_a_model_of_another_site_count_exits_nonzero(tmp_path, capsys,
+                                                                   sites):
+    counts = [{"pattern": "10", "count": 2}, {"pattern": "11", "count": 1},
+              {"pattern": "01", "count": 3}]
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({
+        "n": 2, "N": 5, "m": [3, 4], "between1": counts, "between2": counts,
+        "within": [[{"pattern": "01", "count": 1}], [{"pattern": "10", "count": 2}]],
+    }))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": sites}))
+    err = _error_exit(["estimate", "--data", str(sample), "--model", str(model),
+                       "--method", "umle", "--variance-source", "empirical_v",
+                       "--out", str(tmp_path / "r.json")], capsys)
+    assert f"model has {sites} sites but the design says 2" in err

@@ -6,6 +6,7 @@ from scipy.special import expit, gammaln, logit
 
 from snowlink import (
     DegenerateDenominator,
+    DimensionMismatch,
     HomogeneousLinkModel,
     NoConvergence,
     RaschLinkModel,
@@ -271,13 +272,43 @@ def test_fit2_without_observations_unidentifiable():
         fit_2(data, HomogeneousLinkModel(2), "cmle")
 
 
-def test_minimal_single_site_conditional_is_documented_flat_case():
-    # one site: the conditional likelihood is flat, the solver stays at its
-    # initializer and still reports convergence (score is exactly zero)
-    data = SampleData(n=1, N=5, m=(6,), between1={1: 4})
-    fit = fit_cmle_1(data, HomogeneousLinkModel(1), np.array([0.2]))
-    assert fit.converged
-    assert fit.theta[0] == pytest.approx(0.2)
+@pytest.mark.parametrize("method", ["umle", "cmle"])
+def test_single_site_part_is_unidentifiable(method):
+    # one site: no outside-linked cell and no within-site cell is free, so
+    # the conditional likelihood is flat in the one link parameter
+    data = SampleData(n=1, N=5, m=(6,), between1={1: 4}, between2={1: 3})
+    model = HomogeneousLinkModel(1)
+    with pytest.raises(Unidentifiable, match="1 link parameters but 0 free pattern cells"):
+        fit_total(data, model, model, method)
+
+
+@pytest.mark.parametrize("method", ["umle", "cmle"])
+def test_two_site_rasch_uncovered_part_is_unidentifiable(method):
+    # the uncovered part has 3 parameters and 2 free cells; the covered part
+    # (4 free cells) is identified
+    n = 2
+    model = RaschLinkModel(n, quadrature_nodes=20)
+    config = PopulationConfig(
+        N=6, n=n, cluster_mode=ConditionalMultinomial(600), tau2=400,
+        model1=model, model2=model,
+        theta1=np.array([logit(0.3), logit(0.35), 1.0]),
+        theta2=np.array([logit(0.3), logit(0.35), 0.8]))
+    data, _ = draw_sample(config, replicate_rng(5, 0))
+    fit_cmle_1(data, model)
+    with pytest.raises(Unidentifiable, match="^outside-frame component: 3 link parameters"):
+        fit_total(data, model, model, method)
+
+
+@pytest.mark.parametrize("sites", [1, 3])
+def test_fit_total_refuses_a_model_of_another_site_count(sites):
+    data = SampleData(n=2, N=5, m=(3, 4), between1={0b01: 2, 0b11: 1, 0b10: 3},
+                      within=({0b10: 1}, {0b01: 2}),
+                      between2={0b01: 2, 0b11: 1, 0b10: 3})
+    good, bad = HomogeneousLinkModel(2), HomogeneousLinkModel(sites)
+    for model1, model2 in ((bad, good), (good, bad)):
+        with pytest.raises(DimensionMismatch,
+                           match=f"model has {sites} sites but the design says 2"):
+            fit_total(data, model1, model2, "cmle")
 
 
 def _acceptance_style_config(tau1=2000, tau2=1000, N=10, n=4, p1=0.3, p2=0.25):

@@ -4,6 +4,7 @@ from scipy.special import logit
 
 from snowlink import (
     DegenerateDenominator,
+    DimensionMismatch,
     DomainError,
     EstimateReport,
     HomogeneousLinkModel,
@@ -24,7 +25,7 @@ from snowlink import (
     sigma2_sq,
     theta_covariances,
 )
-from snowlink.variance import _guarded_inverse, _interval_set
+from snowlink.variance import _guarded_inverse, _interval_set, _route
 
 from conftest import FlatZeroPatternModel, random_model
 
@@ -397,8 +398,10 @@ def test_monte_carlo_variance_oracle():
     errs_u, errs_c = [], []
     for i in range(2000):
         data, truth = draw_sample(config, replicate_rng(1234, i))
-        errs_c.append((fit_cmle_1(data, model).tau - tau1) / np.sqrt(tau1))
-        errs_u.append((fit_umle_1(data, model).tau - tau1) / np.sqrt(tau1))
+        fit_c = fit_cmle_1(data, model)
+        errs_c.append((fit_c.tau - tau1) / np.sqrt(tau1))
+        # umle starts from the conditional fit, as it does without a start
+        errs_u.append((fit_umle_1(data, model, fit_c.theta).tau - tau1) / np.sqrt(tau1))
     var_u_emp = np.var(errs_u, ddof=1)
     var_c_emp = np.var(errs_c, ddof=1)
     su = sigma1_sq_umle(theta_true, model, n, N)
@@ -500,6 +503,8 @@ def test_empirical_guards():
         empirical_v_covariance(data, np.zeros(2), 3, model, "sigma1")
     with pytest.raises(DomainError):
         empirical_v_covariance(data, np.zeros(2), 1, model, "sigma1")
+    with pytest.raises(DimensionMismatch, match="model has 3 sites but the design says 2"):
+        empirical_v_covariance(data, np.zeros(3), 30, HomogeneousLinkModel(3), "sigma2")
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +568,10 @@ def _theta_covariances_rebuilt(report, data, model1, model2):
         cov1, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
     else:
         cov1 = psi1_inverse(report.theta1, model1, n, N).covariance_form
-    cov2 = sigma2_inverse(report.theta2, model2).covariance_form[1:, 1:]
+    si2 = sigma2_inverse(report.theta2, model2).inverse_form
+    pi0, g0 = model2.zero_prob_and_grad(report.theta2)
+    sub = si2[1:, 1:] - (1.0 / (pi0 * (1.0 - pi0))) * np.outer(g0, g0)
+    cov2, _ = _guarded_inverse(sub, "the parameter block of the joint covariance")
     return cov1, cov2
 
 
@@ -640,16 +648,56 @@ def test_theta_covariances_requires_variance():
         theta_covariances(report, data, model, model)
 
 
-def test_theta_covariances_without_uncovered_inverse_is_singular():
-    report = EstimateReport(method="cmle", tau1_real=10.0, tau1=10,
-                            tau2_real=5.0, tau2=5,
-                            theta1=np.zeros(2), theta2=np.zeros(2))
-    data = SampleData(n=2, N=6, m=(3, 3))
+@pytest.mark.parametrize("source", ["analytic", "empirical_v"])
+@pytest.mark.parametrize("method", ["umle", "cmle"])
+def test_uncovered_covariance_is_the_route_covariance(source, method):
+    # both parts' parameter covariances come from variance._route, for both
+    # sources and both methods
+    from snowlink import fit_total
+    from snowlink.simulator import (ConditionalMultinomial, PopulationConfig,
+                                    draw_sample, replicate_rng)
+
+    n = 3
+    model = HomogeneousLinkModel(n)
+    config = PopulationConfig(N=8, n=n, cluster_mode=ConditionalMultinomial(500),
+                              tau2=300, model1=model, model2=model,
+                              theta1=np.full(n, logit(0.35)),
+                              theta2=np.full(n, logit(0.3)))
+    data, _ = draw_sample(config, replicate_rng(11, 0))
+    report = fit_total(data, model, model, method)
+    attach_variance(report, data, model, model, source=source)
+    if source == "analytic":
+        m2 = sigma2_inverse(report.theta2, model)
+    else:
+        m2 = empirical_v_covariance(data, report.theta2, report.tau2, model, "sigma2")
+    s2, cov2 = _route(report.theta2, model, 1.0, m2)
+    assert np.array_equal(theta_covariances(report, data, model, model)[1], cov2)
+    assert report.variance.sigma2_sq == s2
+
+
+@pytest.mark.parametrize("method", ["umle", "cmle"])
+def test_empirical_sigma2_without_inverse_still_gives_uncovered_covariance(method):
+    # everyone outside the frame is observed, so the empirical sigma2 has a
+    # constant size coordinate and no inverse; the route needs only its
+    # parameter block and gives the uncovered part its covariance
     model = HomogeneousLinkModel(2)
-    attach_variance(report, data, model, model)
-    report.variance.theta2_cov = None  # as left by a singular empirical sigma2
-    with pytest.raises(SingularMatrix):
-        theta_covariances(report, data, model, model)
+    theta2 = np.array([2.0, 1.5])
+    probs, _ = model.probs_and_grads(theta2, [1, 2, 3])
+    between2 = {x: round(2000 * p) for x, p in zip((1, 2, 3), probs)}
+    tau2 = sum(between2.values())
+    assert tau2 == 1956
+    data = SampleData(n=2, N=6, m=(30, 20), between1={1: 40, 2: 20, 3: 30},
+                      within=({2: 10}, {1: 12}), between2=between2)
+    report = EstimateReport(method=method, tau1_real=300.0, tau1=300,
+                            tau2_real=float(tau2), tau2=tau2,
+                            theta1=np.array([0.5, 0.4]), theta2=theta2)
+    assert empirical_v_covariance(data, theta2, tau2, model,
+                                  "sigma2").covariance_form is None
+    attach_variance(report, data, model, model, source="empirical_v")
+    _, cov2 = theta_covariances(report, data, model, model)
+    assert cov2.shape == (2, 2)
+    assert np.all(np.diag(cov2) > 0)
+    assert report.variance.sigma2_sq > 0
 
 
 def test_each_precision_matrix_built_once_per_estimate(monkeypatch):

@@ -5,7 +5,11 @@ one sha256 over every output, the number of outputs and how many of them
 are errors, then the same over all families.  Two source trees that print the same lines produce the same
 outputs bit for bit on this battery.
 
-    OPENBLAS_NUM_THREADS=1 python tools/fingerprint.py [SRC_DIR]   # default: src
+    OPENBLAS_NUM_THREADS=1 python tools/fingerprint.py [SRC_DIR] [--labels]   # default: src
+
+With ``--labels`` it first prints one line per output (family, label and the
+sha256 of that output), so a ``diff`` of two trees' listings names every
+output that changed.
 
 The battery, on seeded ``draw_sample`` draws of both link-model families
 (``n`` from 2 to 5, every third draw ``rasch`` with 20 quadrature nodes):
@@ -36,6 +40,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -75,6 +80,7 @@ class Fingerprint:
         self.hashes = {name: hashlib.sha256() for name in FAMILIES}
         self.counts = dict.fromkeys(FAMILIES, 0)
         self.errors = dict.fromkeys(FAMILIES, 0)
+        self.outputs = []
 
     def record(self, family: str, label: str, thunk, view=lambda value: value):
         """Hash ``view(thunk())`` under ``label``, or the exception ``thunk``
@@ -90,7 +96,11 @@ class Fingerprint:
         h.update(encode(label))
         h.update(encode(value))
         self.counts[family] += 1
+        self.outputs.append((family, label, hashlib.sha256(encode(value)).hexdigest()))
         return out
+
+    def label_lines(self) -> list[str]:
+        return [f"{family:<9} {label}  {digest}" for family, label, digest in self.outputs]
 
     def lines(self) -> list[str]:
         total = hashlib.sha256()
@@ -201,7 +211,12 @@ def run_studies(sl, fp: Fingerprint, tmp: Path):
 
 
 def main(argv: list[str]) -> int:
-    src = Path(argv[1] if len(argv) > 1 else "src").resolve()
+    parser = argparse.ArgumentParser(description="Fingerprint the package's outputs.")
+    parser.add_argument("src", nargs="?", default="src", help="source tree to import")
+    parser.add_argument("--labels", action="store_true",
+                        help="print one line per output before the summary")
+    args = parser.parse_args(argv[1:])
+    src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import snowlink as sl
 
@@ -213,6 +228,8 @@ def main(argv: list[str]) -> int:
         run_draw(sl, fp, index)
     with tempfile.TemporaryDirectory() as tmp:
         run_studies(sl, fp, Path(tmp))
+    if args.labels:
+        print("\n".join(fp.label_lines()))
     print("\n".join(fp.lines()))
     return 0
 

@@ -27,7 +27,7 @@ rasch = RaschLinkModel(n)
 for sigma in (0.0, 0.5, 1.0, 2.0):
     theta = np.concatenate([alpha, [sigma]])
     p0, _ = rasch.zero_prob_and_grad(theta)
-    p_all = rasch.pattern_prob(theta, 0b111)
+    p_all = rasch.probs_and_grads(theta, [0b111])[0][0]
     print(f"  sigma={sigma:3.1f}: P(no links)={p0:.6f}  P(all links)={p_all:.6f}")
 
 print("\nzero-spread collapse (worst absolute difference over all patterns):")
@@ -37,7 +37,6 @@ print(f"  {np.abs(pr - probs).max():.2e}")
 print("\nquadrature stability: default rule vs a rule with twice the nodes")
 fine = RaschLinkModel(n, quadrature_nodes=2 * rasch.rule.size)
 theta = np.concatenate([alpha, [2.0]])
-worst = max(
-    abs(rasch.pattern_prob(theta, x) - fine.pattern_prob(theta, x)) for x in pats
-)
-print(f"  worst difference at sigma=2: {worst:.2e}")
+coarse_probs, _ = rasch.probs_and_grads(theta, pats)
+fine_probs, _ = fine.probs_and_grads(theta, pats)
+print(f"  worst difference at sigma=2: {np.abs(coarse_probs - fine_probs).max():.2e}")

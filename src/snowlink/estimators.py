@@ -38,6 +38,7 @@ from scipy.special import logit
 
 from .errors import (
     DegenerateDenominator,
+    DimensionMismatch,
     DomainError,
     NoConvergence,
     OscillationDetected,
@@ -47,7 +48,7 @@ from .errors import (
 from .likelihood import loglik_cond, loglik_full
 # not called here: mcbench/tracing.py rebinds these per-part names on this module
 from .likelihood import loglik_2, loglik_cond_1, loglik_full_1  # noqa: F401
-from .patterns import Component, SampleData, check_design
+from .patterns import Component, SampleData
 
 
 #: Convergence: the projected score's infinity norm at most this.
@@ -253,23 +254,28 @@ def _safe_logit(p):
     return logit(np.clip(p, 1e-4, 1.0 - 1e-4))
 
 
-def empirical_initial_theta(comp: Component, model) -> np.ndarray:
-    """Per-site empirical link logits (observed links over observed people at
-    risk), followed by the family's starting values of its other parameters.
+def _link_tally(comp: Component):
+    """Observed links to each site and observed people at risk of them.
 
-    A site's own table adds neither links nor people at risk to that site;
-    a site with nobody at risk starts at probability 0.5."""
-    n = model.n
-    links = np.zeros(n)
-    at_risk = np.zeros(n)
-    for site, pats, counts, people in comp.tables:
-        table_links = counts @ ((pats[:, None] >> np.arange(n)) & 1)
-        table_risk = np.full(n, float(people))
+    A site's own table adds neither links nor people at risk to that site."""
+    links = np.zeros(comp.n)
+    at_risk = np.zeros(comp.n)
+    for site, pats, counts in comp.tables:
+        table_links = counts @ ((pats[:, None] >> np.arange(comp.n)) & 1)
+        table_risk = np.full(comp.n, counts.sum())
         if site is not None:
             table_links[site] = table_risk[site] = 0.0
         links += table_links
         at_risk += table_risk
-    fractions = np.divide(links, at_risk, out=np.full(n, 0.5), where=at_risk > 0)
+    return links, at_risk
+
+
+def empirical_initial_theta(comp: Component, model) -> np.ndarray:
+    """Per-site empirical link logits (observed links over observed people at
+    risk), followed by the family's starting values of its other parameters.
+    A site with nobody at risk starts at probability 0.5."""
+    links, at_risk = _link_tally(comp)
+    fractions = np.divide(links, at_risk, out=np.full(comp.n, 0.5), where=at_risk > 0)
     return np.concatenate([_safe_logit(fractions), model.extra_start])
 
 
@@ -344,10 +350,14 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
     from ``theta0``; without one it starts at the conditional fit and counts
     that fit's iterations.  The result solves the simultaneous
     score/threshold system and attains the scanned joint maximum on
-    well-behaved instances.  A part whose conditional likelihood has fewer
-    free pattern cells than the model has parameters raises
-    :class:`~snowlink.errors.Unidentifiable` before any fit.
+    well-behaved instances.  Before any fit, a model whose site count is not
+    the sample's raises :class:`~snowlink.errors.DimensionMismatch`, and a
+    part whose conditional likelihood has fewer free pattern cells than the
+    model has parameters, or that has a site no observed person links to,
+    raises :class:`~snowlink.errors.Unidentifiable`.
     """
+    if model.n != comp.n:
+        raise DimensionMismatch(f"model has {model.n} sites but the design says {comp.n}")
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
     if comp.r == 0 and not any(comp.within):
@@ -359,6 +369,11 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
         raise Unidentifiable(
             f"{model.q} link parameters but {free} free pattern cells: the link "
             "parameters are not identified")
+    unlinked = np.flatnonzero(_link_tally(comp)[0] == 0)
+    if len(unlinked):
+        raise Unidentifiable(
+            f"no observed person links to site {unlinked[0]}: its link logit has no "
+            "finite maximum")
     iterations = 0
     if method == "cmle" or theta0 is None:
         start = (empirical_initial_theta(comp, model) if theta0 is None
@@ -408,14 +423,12 @@ def fit_total(data: SampleData, model1, model2, method: str,
 
     ``start`` is an optional ``(theta1, theta2)`` pair of starting
     parameters, passed to :func:`fit_component` as each part's ``theta0``.
-    The same method is used for both parts; component failures are re-raised
-    with the failing component named.  A model whose site count is not the
-    sample's raises :class:`~snowlink.errors.DimensionMismatch`.
+    The same method is used for both parts; component failures, a model
+    whose site count is not the sample's among them, are re-raised with the
+    failing component named.
     """
     if method not in ("umle", "cmle"):
         raise DomainError(f"unknown method {method!r}; expected 'umle' or 'cmle'")
-    check_design(model1, data.n, data.N)
-    check_design(model2, data.n, data.N)
     theta1, theta2 = (None, None) if start is None else start
     parts = (("covered", "frame-covered component", data.covered, model1, theta1),
              ("uncovered", "outside-frame component", data.uncovered, model2, theta2))

@@ -8,6 +8,14 @@ multinomial over the outside-linked people times the within-site tables.
 ``loglik_full_1``, ``loglik_cond_1`` and ``loglik_2`` apply them to one part
 of a :class:`~snowlink.patterns.SampleData`.
 
+Every counted person, outside-linked or in a sampled site (a site's unlinked
+people are the pattern-0 row of its table), enters both likelihoods through
+one count-times-log-probability sum over the part's
+:attr:`~snowlink.patterns.Component.tables`.  The two differ only in the
+term they add to it: the unobserved people's zero-pattern term of
+:func:`loglik_full`, whose count depends on the size, or the truncation of
+the outside-linked draw in :func:`loglik_cond`.
+
 All values are on the log scale with additive data-only constants dropped
 (factorials of observed counts, and the ``m * log f`` piece of the
 cluster-sampling factor, so the boundary design ``n == N`` stays finite).
@@ -53,34 +61,19 @@ def _require_positive(probs, what: str):
         raise NonFiniteLikelihood(f"{what} underflowed to zero")
 
 
-def _counted_terms(model, theta, table):
-    """Sum of count * log(prob) and its gradient over one of
-    :attr:`~snowlink.patterns.Component.tables`."""
-    site, pats, counts, _ = table
-    if not len(pats):
-        return 0.0, np.zeros(model.q)
-    probs, grads = model.probs_and_grads(theta, pats, site)
-    _require_positive(probs, "an observed pattern probability")
-    value = float(counts @ np.log(probs))
-    grad = (counts / probs) @ grads
-    return value, grad
-
-
-def _within_terms(comp: Component, theta, model):
-    """Within-site contributions, including each site's derived zero-pattern count."""
+def _counted_terms(comp: Component, theta, model):
+    """Sum of count * log(prob), and its gradient, over every one of
+    :attr:`~snowlink.patterns.Component.tables`: one kernel call per
+    non-empty table."""
     value = 0.0
     grad = np.zeros(model.q)
-    for table in comp.tables[1:]:
-        l, _, counts, people = table
-        v, g = _counted_terms(model, theta, table)
-        value += v
-        grad += g
-        unlinked = people - counts.sum()
-        if unlinked > 0:
-            probs, grads = model.probs_and_grads(theta, [0], within_site=l)
-            _require_positive(probs, f"the zero-pattern probability within site {l}")
-            value += unlinked * float(np.log(probs[0]))
-            grad += (unlinked / probs[0]) * grads[0]
+    for site, pats, counts in comp.tables:
+        if not len(pats):
+            continue
+        probs, grads = model.probs_and_grads(theta, pats, site)
+        _require_positive(probs, "an observed pattern probability")
+        value += float(counts @ np.log(probs))
+        grad += (counts / probs) @ grads
     return value, grad
 
 
@@ -94,17 +87,15 @@ def loglik_full(comp: Component, tau: float, theta, model) -> LogLikTerms:
     if tau < m + r:
         raise DomainError(f"size {tau} is below m + r = {m + r}")
     unobserved = tau - m - r
-    value = float(gammaln(tau + 1.0) - gammaln(unobserved + 1.0)
-                  + xlogy(tau - m, comp.f))
-    v, grad = _counted_terms(model, theta, comp.tables[0])
-    value += v
+    value, grad = _counted_terms(comp, theta, model)
+    value += float(gammaln(tau + 1.0) - gammaln(unobserved + 1.0)
+                   + xlogy(tau - m, comp.f))
     p0, g0 = model.zero_prob_and_grad(theta)
     if unobserved > 0:
         _require_positive(p0, "the zero-pattern probability")
         value += unobserved * np.log(p0)
-        grad = grad + (unobserved / p0) * g0
-    vw, gw = _within_terms(comp, theta, model)
-    return LogLikTerms(value=value + vw, grad_theta=grad + gw)
+        grad += (unobserved / p0) * g0
+    return LogLikTerms(value=value, grad_theta=grad)
 
 
 def loglik_cond(comp: Component, theta, model) -> LogLikTerms:
@@ -117,12 +108,10 @@ def loglik_cond(comp: Component, theta, model) -> LogLikTerms:
         )
     p0, g0 = model.zero_prob_and_grad(theta)
     _require_positive(1.0 - p0, "the escape probability (1 - zero-pattern mass)")
-    v, grad = _counted_terms(model, theta, comp.tables[0])
-    r = comp.r
-    value = v - r * np.log1p(-p0)
-    grad = grad + (r / (1.0 - p0)) * g0
-    vw, gw = _within_terms(comp, theta, model)
-    return LogLikTerms(value=value + vw, grad_theta=grad + gw)
+    value, grad = _counted_terms(comp, theta, model)
+    value -= comp.r * np.log1p(-p0)
+    grad += (comp.r / (1.0 - p0)) * g0
+    return LogLikTerms(value=value, grad_theta=grad)
 
 
 def loglik_full_1(data: SampleData, tau1: float, theta1, model1) -> LogLikTerms:

@@ -9,11 +9,11 @@ pattern ``x`` has probability
 
 The parameter vector holds the site logits ``alpha_1..alpha_n`` followed by
 the family's non-site parameters.  The kernel is written once, on
-:class:`MixtureLinkModel`: the probability and analytic gradient of a pattern,
-a vectorized variant over many patterns, and an O(n) shortcut for the all-zero
-pattern.  A family supplies only its node offsets ``c`` with their Jacobian in
-the non-site parameters, its fixed node weights ``w``, the lower bounds and
-starting values of its non-site parameters, and its generative draw.
+:class:`MixtureLinkModel`: the probabilities and analytic gradients of an
+array of patterns, and an O(n) shortcut for the all-zero pattern.  A family
+supplies only its node offsets ``c`` with their Jacobian in the non-site
+parameters, its fixed node weights ``w``, the lower bounds and starting
+values of its non-site parameters, and its generative draw.
 
 - ``homogeneous``: every person has the same per-site link probability;
   ``K = 1``, ``c = 0``, ``w = 1`` and no non-site parameters.
@@ -194,14 +194,6 @@ class MixtureLinkModel:
             G -= G0
             grads[rows, sites] = G.T
         return probs, grads
-
-    def pattern_prob(self, theta, x: int, within_site=None) -> float:
-        probs, _ = self.probs_and_grads(theta, [x], within_site)
-        return float(probs[0])
-
-    def pattern_grad(self, theta, x: int, within_site=None) -> np.ndarray:
-        _, grads = self.probs_and_grads(theta, [x], within_site)
-        return grads[0]
 
     def zero_prob_and_grad(self, theta):
         """Probability and gradient of the all-zero pattern, in O(n K)."""

@@ -13,7 +13,9 @@ all-zero pattern is never a key; its counts are unobserved (for people outside
 the initial site sample) or derived (inside a sampled site).  Its two parts,
 frame-covered and frame-uncovered, are read through one :class:`Component`
 view, so every per-part computation is written once.  A component turns its
-count maps into arrays once, in :attr:`Component.tables`, and the
+count maps into arrays once, in :attr:`Component.tables`, where each sampled
+site's people who link to no other sampled site become that site's
+pattern-0 row, so every count of a table is one multinomial cell.  The
 likelihood, the starting values and the empirical covariance all read those
 arrays; :class:`SampleData` itself keeps only the maps.
 """
@@ -117,15 +119,17 @@ class Component:
 
     ``between`` maps patterns to counts for the people found only by link
     tracing, ``m`` and ``within`` are the sampled sites' sizes and
-    within-site tables, and ``f`` is the probability that a person of this
-    part escapes the site sample (``1 - n/N`` inside the frame).  The part
-    outside the frame is the same object with no sites and ``f = 1``.
+    within-site tables, ``f`` is the probability that a person of this
+    part escapes the site sample (``1 - n/N`` inside the frame), and ``n``
+    is the sample's site count.  The part outside the frame is the same
+    object with no sampled sites and ``f = 1``.
     """
 
     between: dict[int, int]
     m: tuple[int, ...]
     within: tuple[dict[int, int], ...]
     f: float
+    n: int
 
     @cached_property
     def m_total(self) -> int:
@@ -136,20 +140,23 @@ class Component:
         return sum(self.between.values())
 
     @cached_property
-    def tables(self) -> tuple[tuple[int | None, np.ndarray, np.ndarray, int], ...]:
-        """Each count map as ``(site, patterns, counts, people)`` arrays.
+    def tables(self) -> tuple[tuple[int | None, np.ndarray, np.ndarray], ...]:
+        """Each count map as ``(site, patterns, counts)`` arrays.
 
-        The outside-linked map comes first, with ``site = None`` and
-        ``people = r``; then one entry per sampled site ``l``, with
-        ``site = l`` and ``people = m[l]``.  Patterns are ``int64`` and counts
+        The outside-linked map comes first, with ``site = None``; then one
+        entry per sampled site ``l``, with ``site = l``, whose counts add up
+        to ``m[l]``: the site's unlinked people follow its map as a
+        pattern-0 row when there are any.  Patterns are ``int64`` and counts
         ``float``, both in the map's key order.
         """
-        maps = [(None, self.between, self.r)]
-        maps += [(l, w, size) for l, (w, size) in enumerate(zip(self.within, self.m))]
+        maps = [(None, self.between)]
+        for l, (counts, size) in enumerate(zip(self.within, self.m)):
+            unlinked = size - sum(counts.values())
+            maps.append((l, {**counts, 0: unlinked} if unlinked > 0 else counts))
         return tuple(
             (site, np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)),
-             np.fromiter(counts.values(), dtype=float, count=len(counts)), people)
-            for site, counts, people in maps
+             np.fromiter(counts.values(), dtype=float, count=len(counts)))
+            for site, counts in maps
         )
 
 
@@ -235,12 +242,13 @@ class SampleData:
     @property
     def covered(self) -> Component:
         """The frame-covered part: sampled sites and cluster-sampling factor."""
-        return Component(self.between1, self.m, self.within, 1.0 - self.n / self.N)
+        return Component(self.between1, self.m, self.within, 1.0 - self.n / self.N,
+                         self.n)
 
     @property
     def uncovered(self) -> Component:
         """The frame-uncovered part: no sites, and nobody is sampled directly."""
-        return Component(self.between2, (), (), 1.0)
+        return Component(self.between2, (), (), 1.0, self.n)
 
 
 def _counts_to_json(counts: Mapping[int, int], n: int) -> list[dict]:

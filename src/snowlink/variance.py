@@ -317,18 +317,12 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
         )
     escape = 1.0 - pi0
     blocks, weights = [], []
-    for site, pats, counts, people in comp.tables:
-        if site is None:
-            if not len(pats):
-                continue
-            what = "an observed pattern probability"
-        else:
-            # the site's unlinked people take the zero pattern
-            pats = np.append(pats, 0)
-            counts = np.append(counts, people - counts.sum())
-            what = f"a within-site pattern probability (site {site})"
+    for site, pats, counts in comp.tables:
+        if not len(pats):
+            continue
         probs, grads = model.probs_and_grads(theta_hat, pats, within_site=site)
-        _positive(probs, what)
+        _positive(probs, "an observed pattern probability" if site is None else
+                  f"a within-site pattern probability (site {site})")
         if site is None and not joint:
             # scores of the zero-truncated pattern draw
             tg = grads / escape + probs[:, None] * g0 / escape**2
@@ -344,7 +338,7 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
         blocks.append(np.zeros((1, q)))
     weights.append([float(tau_hat - observed)])
     w = np.concatenate(weights)
-    # a site with no unlinked people, or a part with no unobserved ones, adds no row
+    # a part with no unobserved people adds no row
     keep = w > 0
     V, w = np.vstack(blocks)[keep], w[keep]
     dim = q + 1 if joint else q

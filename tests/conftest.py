@@ -8,7 +8,9 @@ score vectors for the moment checks, the random-effect kernel as a loop
 over quadrature nodes, and the homogeneous kernel as the direct product of
 per-site factors.  The cluster and binomial-escape factors of the
 frame-covered likelihood live here too, as the references for the
-factorization ``full = cluster + conditional + binomial-escape``.
+factorization ``full = cluster + conditional + binomial-escape``, and so does
+the likelihood with each site's unlinked people in a kernel call of their
+own, the reference for the one counted sum over the tables.
 """
 
 import numpy as np
@@ -69,6 +71,36 @@ def loglik_binom_12(data, tau1: float, theta1, model1) -> LogLikTerms:
     return LogLikTerms(value=value, grad_theta=grad)
 
 
+def loglik_separate_zero_rows(comp, theta, model, tau=None):
+    """``loglik_full`` (with ``tau``) or ``loglik_cond`` (without) of one
+    part, read from the count maps, with each sampled site's unlinked people
+    in a kernel call of their own instead of a pattern-0 row of the site's
+    table: the reference for the one counted sum of the likelihood."""
+    value, grad = 0.0, np.zeros(model.q)
+
+    def add(site, counts):
+        nonlocal value, grad
+        probs, grads = model.probs_and_grads(theta, list(counts), site)
+        weights = np.array(list(counts.values()), dtype=float)
+        value += float(weights @ np.log(probs))
+        grad = grad + (weights / probs) @ grads
+
+    if comp.between:
+        add(None, comp.between)
+    for site, (counts, size) in enumerate(zip(comp.within, comp.m)):
+        if counts:
+            add(site, counts)
+        if size > sum(counts.values()):
+            add(site, {0: size - sum(counts.values())})
+    p0, g0 = model.zero_prob_and_grad(theta)
+    if tau is None:
+        return value - comp.r * np.log1p(-p0), grad + (comp.r / (1.0 - p0)) * g0
+    unobserved = tau - comp.m_total - comp.r
+    value += float(gammaln(tau + 1.0) - gammaln(unobserved + 1.0)
+                   + xlogy(tau - comp.m_total, comp.f) + xlogy(unobserved, p0))
+    return value, grad + (unobserved / p0) * g0
+
+
 def mixture_prob_trapezoid(alpha, sigma, x, n, within_site=None, npts=100_000):
     """Dense 1-D integration of the logistic-normal pattern probability on
     z in (-10, 10); the tail mass beyond is far below the comparison scale."""
@@ -87,6 +119,16 @@ def pattern_bits(patterns, n):
     """Pattern bits as a (patterns x n) float matrix, bit ``j`` in column ``j``."""
     xs = np.atleast_1d(np.asarray(patterns, dtype=np.int64))
     return ((xs[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+def pattern_prob(model, theta, x, within_site=None):
+    """The probability of the single pattern ``x``, from the model's kernel."""
+    return float(model.probs_and_grads(theta, [x], within_site)[0][0])
+
+
+def pattern_grad(model, theta, x, within_site=None):
+    """The gradient of the single pattern ``x``, from the model's kernel."""
+    return model.probs_and_grads(theta, [x], within_site)[1][0]
 
 
 def active_sites(n, within_site=None):
@@ -207,12 +249,6 @@ class FlatZeroPatternModel:
         idx = np.searchsorted(pats, xs)
         return probs[idx], grads[idx][:, None]
 
-    def pattern_prob(self, theta, x, within_site=None):
-        return float(self.probs_and_grads(theta, [x], within_site)[0][0])
-
-    def pattern_grad(self, theta, x, within_site=None):
-        return self.probs_and_grads(theta, [x], within_site)[1][0]
-
     def zero_prob_and_grad(self, theta):
         self.validate_theta(np.atleast_1d(theta))
         return self.zero_mass, np.zeros(1)
@@ -260,3 +296,21 @@ def random_sample_data(rng, n=None, N=None, max_count=6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def json_field_changes(old, new, path=""):
+    """Every leaf that differs between two parsed JSON documents, one line
+    each with its path, old value, new value and, for numbers, the relative
+    change."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for key in sorted(set(old) | set(new))
+                for line in json_field_changes(old.get(key), new.get(key),
+                                               f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in json_field_changes(a, b, f"{path}[{i}]")]
+    if old == new and type(old) is type(new):
+        return []
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    relative = f" ({(new - old) / abs(old):+.2e} relative)" if numbers and old else ""
+    return [f"{path}: {old!r} -> {new!r}{relative}"]

@@ -254,3 +254,15 @@ def test_estimate_with_a_model_of_another_site_count_exits_nonzero(tmp_path, cap
                        "--method", "umle", "--variance-source", "empirical_v",
                        "--out", str(tmp_path / "r.json")], capsys)
     assert f"model has {sites} sites but the design says 2" in err
+
+
+def test_estimate_with_a_site_nobody_links_to_exits_nonzero(tmp_path, capsys):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"n": 2, "N": 5, "m": [3, 4],
+                                  "between1": [{"pattern": "10", "count": 1}]}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": 2}))
+    err = _error_exit(["estimate", "--data", str(sample), "--model", str(model),
+                       "--method", "cmle", "--out", str(tmp_path / "r.json")], capsys)
+    assert "no observed person links to site 1" in err
+    assert not (tmp_path / "r.json").exists()

@@ -27,7 +27,7 @@ from snowlink.simulator import (
     replicate_rng,
 )
 
-from conftest import FlatZeroPatternModel, random_sample_data
+from conftest import FlatZeroPatternModel, json_field_changes, random_sample_data
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +305,44 @@ def test_fit_total_refuses_a_model_of_another_site_count(sites):
                       within=({0b10: 1}, {0b01: 2}),
                       between2={0b01: 2, 0b11: 1, 0b10: 3})
     good, bad = HomogeneousLinkModel(2), HomogeneousLinkModel(sites)
-    for model1, model2 in ((bad, good), (good, bad)):
+    for model1, model2, label in ((bad, good, "frame-covered"), (good, bad, "outside-frame")):
         with pytest.raises(DimensionMismatch,
-                           match=f"model has {sites} sites but the design says 2"):
+                           match=f"^{label} component: model has {sites} sites but "
+                                 "the design says 2$"):
             fit_total(data, model1, model2, "cmle")
+    # the per-part fits refuse it too, with or without a start
+    fits = (lambda: fit_cmle_1(data, bad), lambda: fit_umle_1(data, bad),
+            lambda: fit_2(data, bad, "cmle"), lambda: fit_2(data, bad, "umle"),
+            lambda: fit_cmle_1(data, bad, np.zeros(sites)))
+    for fit in fits:
+        with pytest.raises(DimensionMismatch,
+                           match=f"^model has {sites} sites but the design says 2$"):
+            fit()
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+@pytest.mark.parametrize("method", ["cmle", "umle"])
+def test_a_site_nobody_links_to_is_unidentifiable(family, method):
+    # the one outside-linked person links to site 0 only, and the sites'
+    # people link to no other site: site 1's logit has no finite maximum
+    model = HomogeneousLinkModel(2) if family == "homogeneous" else RaschLinkModel(2, 20)
+    data = SampleData(n=2, N=5, m=(3, 4), between1={0b01: 1})
+    with pytest.raises(Unidentifiable, match="^frame-covered component: no observed "
+                                             "person links to site 1"):
+        fit_total(data, model, model, method)
+    # the check does not depend on the start
+    start = np.r_[0.0, 0.0, [0.5] * (model.q - 2)]
+    with pytest.raises(Unidentifiable, match="links to site 1"):
+        estimators.fit_component(data.covered, model, method, start)
+    # the uncovered part is checked the same way (three sites, so that it is
+    # identified under the rasch family otherwise)
+    model = HomogeneousLinkModel(3) if family == "homogeneous" else RaschLinkModel(3, 20)
+    data = SampleData(n=3, N=6, m=(3, 4, 2),
+                      between1={0b001: 1, 0b010: 2, 0b100: 1, 0b011: 1},
+                      between2={0b010: 3, 0b110: 1})
+    with pytest.raises(Unidentifiable, match="^outside-frame component: no observed "
+                                             "person links to site 0"):
+        fit_total(data, model, model, method)
 
 
 def _acceptance_style_config(tau1=2000, tau2=1000, N=10, n=4, p1=0.3, p2=0.25):
@@ -433,4 +467,5 @@ def test_golden_report_bytes(tmp_path):
     report = fit_total(data, config.model1, config.model2, "cmle")
     attach_variance(report, data, config.model1, config.model2)
     rendered = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert rendered == golden.read_text()
+    changes = json_field_changes(json.loads(golden.read_text()), json.loads(rendered))
+    assert rendered == golden.read_text(), "changed fields:\n" + "\n".join(changes)

@@ -7,16 +7,19 @@ from snowlink import (
     DomainError,
     HomogeneousLinkModel,
     NonFiniteLikelihood,
+    RaschLinkModel,
     SampleData,
     Unidentifiable,
     loglik_2,
     loglik_cond_1,
     loglik_full_1,
 )
+from snowlink.likelihood import loglik_cond, loglik_full
 
 from conftest import (
     fd_gradient,
     loglik_binom_12,
+    loglik_separate_zero_rows,
     multinomial_cluster_loglik,
     random_model,
     random_sample_data,
@@ -169,3 +172,52 @@ def test_underflow_raises_instead_of_clamping():
     theta = np.array([-800.0, -800.0])  # link probabilities underflow to 0
     with pytest.raises(NonFiniteLikelihood):
         loglik_cond_1(data, theta, model)
+
+
+def _both_families(n):
+    return [("homogeneous", HomogeneousLinkModel(n)),
+            ("rasch", RaschLinkModel(n, quadrature_nodes=20))]
+
+
+@pytest.mark.parametrize("part", ["covered", "uncovered"])
+def test_counted_sum_matches_separate_zero_rows(rng, part):
+    # each site's unlinked people as the pattern-0 row of its table give the
+    # likelihood of the older path, where they were a kernel call of their own
+    for trial in range(12):
+        data = random_sample_data(rng, n=int(rng.integers(2, 5)))
+        comp = getattr(data, part)
+        tau = comp.m_total + comp.r + float(rng.uniform(0.0, 30.0))
+        for _, model in _both_families(data.n):
+            theta = rng.uniform(-2.0, 1.0, model.q)
+            theta[data.n:] = np.abs(theta[data.n:])
+            for got, ref in ((loglik_full(comp, tau, theta, model),
+                              loglik_separate_zero_rows(comp, theta, model, tau)),
+                             (loglik_cond(comp, theta, model),
+                              loglik_separate_zero_rows(comp, theta, model))):
+                assert got.value == pytest.approx(ref[0], rel=1e-12)
+                np.testing.assert_allclose(got.grad_theta, ref[1], rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref[1]).max())
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_one_kernel_call_per_nonempty_table(monkeypatch, family):
+    # site 0 has unlinked people, site 1 has none, site 2 is empty
+    data = SampleData(n=3, N=6, m=(5, 2, 0), between1={0b011: 2, 0b100: 1},
+                      within=({0b010: 1}, {0b001: 1, 0b100: 1}, {}),
+                      between2={0b101: 3})
+    model = dict(_both_families(3))[family]
+    theta = np.r_[-0.4, -0.6, -0.9, [0.7] * (model.q - 3)]
+    kernel = type(model).probs_and_grads
+    calls = []
+
+    def counted(self, theta, patterns, within_site=None):
+        calls.append(within_site)
+        return kernel(self, theta, patterns, within_site)
+
+    monkeypatch.setattr(type(model), "probs_and_grads", counted)
+    for comp, sites in ((data.covered, [None, 0, 1]), (data.uncovered, [None])):
+        for evaluate in (lambda: loglik_full(comp, comp.m_total + comp.r + 4.0, theta, model),
+                         lambda: loglik_cond(comp, theta, model)):
+            calls.clear()
+            evaluate()
+            assert calls == sites

@@ -1,13 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snowlink import (
+    HomogeneousLinkModel,
     InvariantViolation,
     ParseError,
     PatternSpaceTooLarge,
+    RaschLinkModel,
     SampleData,
     enumerate_patterns,
     load_sample,
@@ -16,6 +19,12 @@ from snowlink import (
     sample_from_dict,
     sample_to_dict,
     save_sample,
+)
+from snowlink.simulator import (
+    ConditionalMultinomial,
+    PopulationConfig,
+    draw_sample,
+    replicate_rng,
 )
 
 
@@ -162,3 +171,39 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "sample.json"
     save_sample(data, path)
     assert load_sample(path) == data
+
+
+def _check_tables(data):
+    for comp in (data.covered, data.uncovered):
+        (site, pats, counts), *sites = comp.tables
+        assert site is None and counts.sum() == comp.r
+        assert [entry[0] for entry in sites] == list(range(len(comp.m)))
+        for l, pats, counts in sites:
+            # every person of the site is counted once, the unlinked ones
+            # as the pattern-0 row, which is there exactly when they are
+            unlinked = comp.m[l] - sum(comp.within[l].values())
+            assert counts.sum() == comp.m[l]
+            assert (0 in pats) == (unlinked > 0)
+            assert dict(zip(pats.tolist(), counts.tolist())) == (
+                {**comp.within[l], 0: unlinked} if unlinked else comp.within[l])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_data_strategy())
+def test_tables_count_every_site_person_once(data):
+    _check_tables(data)
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_tables_count_every_site_person_once_in_drawn_samples(family):
+    n = 3
+    model = HomogeneousLinkModel(n) if family == "homogeneous" else RaschLinkModel(n, 20)
+    theta = np.r_[[0.8, -0.5, 1.5], [1.0] * (model.q - n)]
+    config = PopulationConfig(N=5, n=n, cluster_mode=ConditionalMultinomial(60), tau2=30,
+                              model1=model, model2=model, theta1=theta, theta2=theta)
+    fully_linked = 0
+    for i in range(20):
+        data, _ = draw_sample(config, replicate_rng(3, i))
+        _check_tables(data)
+        fully_linked += sum(0 not in pats for _, pats, _ in data.covered.tables[1:])
+    assert fully_linked  # the draws include sites without a pattern-0 row

@@ -353,8 +353,9 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
     well-behaved instances.  Before any fit, a model whose site count is not
     the sample's raises :class:`~snowlink.errors.DimensionMismatch`, and a
     part whose conditional likelihood has fewer free pattern cells than the
-    model has parameters, or that has a site no observed person links to,
-    raises :class:`~snowlink.errors.Unidentifiable`.
+    model has parameters, that has a site no observed person links to, or
+    whose outside-linked people each link to one site while no site member
+    links to another site raises :class:`~snowlink.errors.Unidentifiable`.
     """
     if model.n != comp.n:
         raise DimensionMismatch(f"model has {model.n} sites but the design says {comp.n}")
@@ -374,6 +375,11 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
         raise Unidentifiable(
             f"no observed person links to site {unlinked[0]}: its link logit has no "
             "finite maximum")
+    if not any(comp.within) and all(x & (x - 1) == 0 for x in comp.between):
+        # every observed cell is then likelier as all the logits fall together
+        raise Unidentifiable(
+            "every outside-linked person links to exactly one site and no site member "
+            "links to another sampled site: the link logits have no finite maximum")
     iterations = 0
     if method == "cmle" or theta0 is None:
         start = (empirical_initial_theta(comp, model) if theta0 is None

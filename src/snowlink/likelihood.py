@@ -56,8 +56,10 @@ class LogLikTerms(NamedTuple):
 
 
 def _require_positive(probs, what: str):
-    probs = np.atleast_1d(probs)
-    if np.any(~np.isfinite(probs)) or np.any(probs < PI_FLOOR):
+    """Refuse a NaN, an infinity or a value below :data:`PI_FLOOR`; the
+    comparisons are false for NaN, so one min and one max catch all three."""
+    probs = np.asarray(probs)
+    if not (probs.min(initial=np.inf) >= PI_FLOOR and probs.max(initial=0.0) < np.inf):
         raise NonFiniteLikelihood(f"{what} underflowed to zero")
 
 

@@ -123,7 +123,10 @@ def _finish(which: str, M: np.ndarray, require_inverse: bool = True) -> Asymptot
 
 
 def _positive(probs, what):
-    if np.any(probs <= 0.0) or np.any(~np.isfinite(probs)):
+    """Refuse a value at or below zero, a NaN or an infinity (the comparisons
+    are false for NaN)."""
+    probs = np.asarray(probs)
+    if not (probs.min(initial=np.inf) > 0.0 and probs.max(initial=0.0) < np.inf):
         raise NonFiniteLikelihood(f"{what} vanished")
 
 
@@ -148,7 +151,7 @@ def _information(theta, model, within_site=None) -> np.ndarray:
             active[within_site] = False
         # the least likely pattern takes the less likely outcome at every site
         least = np.exp(log_expit(-np.abs(theta[active])).sum())
-        _positive(np.array([least]), what)
+        _positive(least, what)
         p = expit(theta)
         return np.diag(np.where(active, p * (1.0 - p), 0.0))
     pats = enumerate_patterns(model.n, excluded_site=within_site)

@@ -345,6 +345,37 @@ def test_a_site_nobody_links_to_is_unidentifiable(family, method):
         fit_total(data, model, model, method)
 
 
+@pytest.mark.parametrize("method", ["cmle", "umle"])
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_single_links_without_within_links_are_unidentifiable(family, method):
+    # every outside-linked person links to exactly one site and no site member
+    # links to another site: every observed cell gains as all the link logits
+    # fall together, so none of them has a finite maximum
+    model = HomogeneousLinkModel(3) if family == "homogeneous" else RaschLinkModel(3, 20)
+    message = ("every outside-linked person links to exactly one site and no site "
+               "member links to another sampled site")
+    data = SampleData(n=3, N=6, m=(5, 6, 4), between1={1: 2, 2: 1, 4: 1, 3: 1},
+                      between2={1: 4, 2: 4, 4: 4})
+    with pytest.raises(Unidentifiable, match=f"^outside-frame component: {message}"):
+        fit_total(data, model, model, method)
+    # the covered part, whose site tables hold nothing but pattern-0 rows
+    data = SampleData(n=3, N=6, m=(5, 6, 4), between1={1: 2, 2: 1, 4: 1},
+                      between2={1: 4, 2: 4, 4: 4, 3: 1})
+    assert [pats.tolist() for site, pats, _ in data.covered.tables if site is not None] == [
+        [0], [0], [0]]
+    with pytest.raises(Unidentifiable, match=f"^frame-covered component: {message}"):
+        fit_total(data, model, model, method)
+    start = np.r_[-1.0, -1.0, -1.0, [0.5] * (model.q - 3)]
+    with pytest.raises(Unidentifiable, match=message):
+        estimators.fit_component(data.covered, model, method, start)
+    # one outside-linked person with two links, or one within-site link,
+    # identifies the part
+    for data in (SampleData(n=3, N=6, m=(5, 6, 4), between1={1: 2, 2: 1, 4: 1, 3: 1}),
+                 SampleData(n=3, N=6, m=(5, 6, 4), between1={1: 2, 2: 1, 4: 1},
+                            within=({0b010: 1}, {}, {}))):
+        assert estimators.fit_component(data.covered, model, method).converged
+
+
 def _acceptance_style_config(tau1=2000, tau2=1000, N=10, n=4, p1=0.3, p2=0.25):
     return PopulationConfig(
         N=N, n=n, cluster_mode=ConditionalMultinomial(tau1), tau2=tau2,

@@ -14,7 +14,7 @@ from snowlink import (
     loglik_cond_1,
     loglik_full_1,
 )
-from snowlink.likelihood import loglik_cond, loglik_full
+from snowlink.likelihood import PI_FLOOR, _require_positive, loglik_cond, loglik_full
 
 from conftest import (
     fd_gradient,
@@ -221,3 +221,25 @@ def test_one_kernel_call_per_nonempty_table(monkeypatch, family):
             calls.clear()
             evaluate()
             assert calls == sites
+
+
+_BAD_PROBABILITIES = [np.nan, np.inf, -np.inf, 0.0, -1.0, PI_FLOOR / 2, np.nextafter(PI_FLOOR, 0)]
+
+
+@pytest.mark.parametrize("bad", _BAD_PROBABILITIES)
+def test_require_positive_refuses_nan_infinities_and_underflow(bad):
+    with pytest.raises(NonFiniteLikelihood, match="^the thing underflowed to zero$"):
+        _require_positive(float(bad), "the thing")
+    for where in (0, 2, 4):
+        probs = np.array([0.5, 0.25, PI_FLOOR, 1.0, 0.125])
+        probs[where] = bad
+        with pytest.raises(NonFiniteLikelihood, match="the thing"):
+            _require_positive(probs, "the thing")
+
+
+def test_require_positive_accepts_the_floor_and_one():
+    for ok in (PI_FLOOR, 1.0, 0.5, np.nextafter(PI_FLOOR, 1.0)):
+        _require_positive(ok, "a probability")
+        _require_positive(np.array([ok]), "a probability")
+    _require_positive(np.array([PI_FLOOR, 1.0, 0.3]), "a probability")
+    _require_positive(np.array([]), "no probability")

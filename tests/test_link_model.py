@@ -7,6 +7,7 @@ from snowlink import (
     DimensionMismatch,
     DomainError,
     HomogeneousLinkModel,
+    InvariantViolation,
     QuadratureRule,
     RaschLinkModel,
     ScopeViolation,
@@ -243,3 +244,127 @@ def test_model_from_spec_round_trip():
     assert model.spec() == {"family": "rasch", "n": 3, "quadrature_nodes": 48}
     homog = model_from_spec({"family": "homogeneous", "n": 2})
     assert homog.spec() == {"family": "homogeneous", "n": 2}
+
+
+# ---------------------------------------------------------------------------
+# The model's memo of its last parameter vector
+
+
+def _fresh(model):
+    if isinstance(model, RaschLinkModel):
+        return RaschLinkModel(model.n, quadrature_nodes=model.rule.size)
+    return HomogeneousLinkModel(model.n)
+
+
+def _random_theta(rng, model):
+    theta = rng.uniform(-2.0, 2.0, model.q)
+    theta[model.n:] = rng.uniform(0.0, 2.0, model.q - model.n)
+    return theta
+
+
+def _kernel_bytes(model, theta, scope, pats):
+    probs, grads = model.probs_and_grads(theta, pats, within_site=scope)
+    p0, g0 = model.zero_prob_and_grad(theta)
+    return probs.tobytes(), grads.tobytes(), float(p0).hex(), g0.tobytes()
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_memo_results_are_those_of_a_fresh_model(family):
+    rng = np.random.default_rng(2024)
+    n = 4
+    make = (lambda: HomogeneousLinkModel(n)) if family == "homogeneous" else (
+        lambda: RaschLinkModel(n, quadrature_nodes=20))
+    models = (make(), make())
+    spaces = {scope: np.array(enumerate_patterns(n, scope))
+              for scope in [None, *range(n)]}
+    caller = _random_theta(rng, models[0])
+    thetas = [_random_theta(rng, models[0]) for _ in range(4)]
+    for step in range(120):
+        model = models[step % 2 if step < 60 else int(rng.integers(2))]
+        kind = int(rng.integers(4))
+        if kind == 0:  # a new vector
+            theta = _random_theta(rng, model)
+        elif kind == 1:  # a repeat of an earlier one
+            theta = thetas[int(rng.integers(len(thetas)))]
+        else:  # the caller's own array, changed in place since the last call
+            caller[int(rng.integers(model.q))] += rng.normal() if kind == 2 else 0.0
+            caller[n:] = np.abs(caller[n:])
+            theta = caller
+        thetas.append(theta.copy())
+        for scope, space in spaces.items():
+            pats = rng.choice(space, size=int(rng.integers(1, len(space) + 1)))
+            assert _kernel_bytes(model, theta, scope, pats) == _kernel_bytes(
+                _fresh(model), theta.copy(), scope, pats)
+        # a list, and the same vector again from another array, hit the memo
+        for same in (list(theta), theta.copy()):
+            assert _kernel_bytes(model, same, None, spaces[None]) == _kernel_bytes(
+                _fresh(model), theta.copy(), None, spaces[None])
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_mutating_returned_arrays_changes_no_later_result(family):
+    model = HomogeneousLinkModel(3) if family == "homogeneous" else RaschLinkModel(3, 20)
+    theta = np.r_[-0.5, 0.2, 1.0, [0.7] * (model.q - 3)]
+    pats = enumerate_patterns(3)
+    before = _kernel_bytes(model, theta, None, pats)
+    probs, grads = model.probs_and_grads(theta, pats)
+    p0, g0 = model.zero_prob_and_grad(theta)
+    probs[:] = grads[:] = g0[:] = np.nan
+    for scope in (None, 0, 2):
+        model.probs_and_grads(theta, enumerate_patterns(3, scope), within_site=scope)[1][:] = 7.0
+    assert _kernel_bytes(model, theta, None, pats) == before
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_memoized_bytes_in_another_shape_are_refused(family):
+    model = HomogeneousLinkModel(3) if family == "homogeneous" else RaschLinkModel(3, 20)
+    theta = np.r_[-0.5, 0.2, 1.0, [0.7] * (model.q - 3)]
+    model.zero_prob_and_grad(theta)
+    message = rf"^expected parameter vector of length {model.q}, got shape \({model.q}, 1\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        model.probs_and_grads(theta[:, None], [1])
+    with pytest.raises(DimensionMismatch, match=message):
+        model.zero_prob_and_grad(theta[:, None])
+    # an invalid vector is refused every time, never remembered
+    bad = theta.copy()
+    bad[0] = np.nan
+    for _ in range(2):
+        with pytest.raises(DomainError, match="non-finite"):
+            model.zero_prob_and_grad(bad)
+    if family == "rasch":
+        bad = theta.copy()
+        bad[-1] = -0.5
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^parameter 3 must be >= 0.0, got -0.5$"):
+                model.probs_and_grads(bad, [1])
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+@pytest.mark.parametrize("n", [1, 3, 63])
+def test_patterns_outside_their_scope_are_refused(family, n):
+    model = HomogeneousLinkModel(n) if family == "homogeneous" else RaschLinkModel(n, 20)
+    theta = np.r_[np.full(n, -1.0), [0.7] * (model.q - n)]
+    model.zero_prob_and_grad(theta)  # the memo holds theta from here on
+    own = rf"^within-site pattern for site {n - 1} has its own-site bit set$"
+    out_of_range = rf"^pattern out of range for n={n}$"
+    cases = [
+        (None, [0, 1 << n if n < 63 else -1], InvariantViolation, out_of_range),
+        (None, [-1], InvariantViolation, out_of_range),
+        (n - 1, [0, 1 << (n - 1)], ScopeViolation, own),
+        # a negative pattern has every high bit set, its own site's among them
+        (n - 1, [-1], ScopeViolation, own),
+        (n, [0], ScopeViolation, rf"^within-site index {n} out of range for n={n}$"),
+        (-1, [0], ScopeViolation, rf"^within-site index -1 out of range for n={n}$"),
+    ]
+    if n > 1:
+        # own-site bit clear but out of range: the range check speaks
+        cases.append((0, [-2], InvariantViolation, out_of_range))
+        if n < 63:
+            cases.append((0, [1 << n], InvariantViolation, out_of_range))
+    for scope, pats, error, message in cases:
+        with pytest.raises(error, match=message):
+            model.probs_and_grads(theta, np.array(pats, dtype=np.int64), within_site=scope)
+    # the highest pattern of the scope is accepted
+    top = (1 << n) - 1 if n < 63 else np.iinfo(np.int64).max
+    assert model.probs_and_grads(theta, [top])[0][0] > 0.0
+    assert model.probs_and_grads(theta, [top & ~1 if n > 1 else 0], within_site=0)[0][0] > 0.0

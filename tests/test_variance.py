@@ -25,7 +25,7 @@ from snowlink import (
     sigma2_sq,
     theta_covariances,
 )
-from snowlink.variance import _guarded_inverse, _interval_set, _route
+from snowlink.variance import _guarded_inverse, _interval_set, _positive, _route
 
 from conftest import FlatZeroPatternModel, random_model
 
@@ -744,3 +744,20 @@ def test_empirical_parameter_covariances_past_the_enumeration_guard():
     assert "PatternSpaceTooLarge" not in row["error"]
     assert row["error"] == ""
     assert all(row[f"theta{k}_{j}_se"] > 0 for k in (1, 2) for j in range(n))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300])
+def test_positive_refuses_zero_negatives_and_non_finite_values(bad):
+    for where in (0, 1, 2):
+        probs = np.array([0.5, 5e-324, 1.0])
+        probs[where] = bad
+        with pytest.raises(NonFiniteLikelihood, match="^the thing vanished$"):
+            _positive(probs, "the thing")
+    with pytest.raises(NonFiniteLikelihood):
+        _positive(np.array([bad]), "the thing")
+
+
+def test_positive_accepts_any_finite_positive_value():
+    # unlike the likelihood's floor, any positive value passes, subnormals too
+    _positive(np.array([5e-324, 1e-300, 0.5, 1.0, 2.0]), "a probability")
+    _positive(np.array([0.3]), "a probability")

@@ -25,7 +25,7 @@ from .errors import ParseError, SnowlinkError
 from .estimators import fit_total
 from .experiments import emit_reports, experiment_config_from_dict, run_experiment
 from .link_model import model_from_spec
-from .patterns import load_sample, sample_to_dict
+from .patterns import check_design, load_sample, sample_to_dict
 from .simulator import draw_sample, population_config_from_dict, replicate_rng
 from .variance import attach_variance, psi1_inverse, sigma1_inverse, sigma2_inverse
 
@@ -93,6 +93,9 @@ def _cmd_matrices(args) -> int:
         n, N = int(n_str), int(N_str)
     except ValueError as exc:
         raise ParseError(f"--design expects 'n,N', got {args.design!r}") from exc
+    # sigma2 does not use the design, but a design that contradicts the
+    # model is still an input error
+    check_design(model, n, N)
     if args.which == "sigma1":
         mats = sigma1_inverse(theta, model, n, N)
     elif args.which == "psi1":

@@ -22,8 +22,11 @@ The inner ascent is a damped Newton method on the analytic gradient with a
 finite-difference Hessian, backtracking line search, and Levenberg-style
 damping that degrades gracefully to (scaled) gradient ascent when the
 Hessian is not usable; parameter lower bounds (the person-effect spread) are
-handled by projection.  Its tolerances are the module constants
-:data:`SCORE_TOL`, :data:`MAX_ITER` and :data:`MAX_SWEEPS`.
+handled by projection.  Each solve computes the projected score norm once per
+accepted point and carries it on its result: convergence, the ``grad_norm``
+both methods report and the stall message all read that one value.  Its
+tolerances are the module constants :data:`SCORE_TOL`, :data:`MAX_ITER` and
+:data:`MAX_SWEEPS`.
 """
 
 from __future__ import annotations
@@ -151,13 +154,12 @@ def _projected(theta, lower):
     return theta if lower is None else np.maximum(theta, lower)
 
 
-def _projected_grad(grad, theta, lower):
-    if lower is None:
-        return grad
-    pg = grad.copy()
-    at_bound = theta <= lower
-    pg[at_bound] = np.maximum(pg[at_bound], 0.0)
-    return pg
+def _score_norm(grad, theta, lower) -> float:
+    """Infinity norm of the projected score: at a lower bound only an upward
+    push counts."""
+    if lower is not None:
+        grad = np.where(theta <= lower, np.maximum(grad, 0.0), grad)
+    return float(np.max(np.abs(grad)))
 
 
 def _fd_hessian(fg, theta, grad0, lower):
@@ -185,22 +187,26 @@ def _fd_hessian(fg, theta, grad0, lower):
 class _OptResult:
     theta: np.ndarray
     value: float
-    grad: np.ndarray
     iterations: int
-    converged: bool
+    #: the projected score norm at ``theta``
+    score: float
+
+    @property
+    def converged(self) -> bool:
+        return self.score <= SCORE_TOL
 
 
 def _maximize(fg, theta0, lower=None) -> _OptResult:
     """Damped Newton ascent with backtracking; convergence is a projected
-    gradient infinity-norm at most :data:`SCORE_TOL` within
-    :data:`MAX_ITER` iterations."""
+    score norm at most :data:`SCORE_TOL` within :data:`MAX_ITER`
+    iterations."""
     theta = _projected(np.asarray(theta0, dtype=float).copy(), lower)
     value, grad = fg(theta)
+    score = _score_norm(grad, theta, lower)
     it = 0
     for it in range(1, MAX_ITER + 1):
-        pg = _projected_grad(grad, theta, lower)
-        if np.max(np.abs(pg)) <= SCORE_TOL:
-            return _OptResult(theta, value, grad, it - 1, True)
+        if score <= SCORE_TOL:
+            return _OptResult(theta, value, it - 1, score)
         H = _fd_hessian(fg, theta, grad, lower)
         A = -H
         scale = max(1.0, float(np.trace(A)) / len(theta))
@@ -231,9 +237,10 @@ def _maximize(fg, theta0, lower=None) -> _OptResult:
                 sufficient = v_new >= value + 1e-4 * step * slope
                 tail = (step * slope <= value_noise
                         and v_new >= value - value_noise
-                        and np.max(np.abs(g_new)) < np.max(np.abs(grad)))
+                        and _score_norm(g_new, cand, lower) < score)
                 if np.isfinite(v_new) and (sufficient or tail):
                     theta, value, grad = cand, v_new, g_new
+                    score = _score_norm(grad, theta, lower)
                     moved = True
                     break
                 step *= 0.5
@@ -242,8 +249,7 @@ def _maximize(fg, theta0, lower=None) -> _OptResult:
             mu = max(mu * 10.0, 1e-6 * scale)
         if not moved:
             break
-    pg = _projected_grad(grad, theta, lower)
-    return _OptResult(theta, value, grad, it, bool(np.max(np.abs(pg)) <= SCORE_TOL))
+    return _OptResult(theta, value, it, score)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +340,7 @@ def _integer_size_ascent(comp: Component, model, theta0):
                 break
         if moved:
             continue
-        score_norm = float(np.max(np.abs(
-            _projected_grad(res.grad, theta, lower))))
-        return theta, tau_int, closed_real(theta), total_iter, sweep, score_norm
+        return theta, tau_int, closed_real(theta), total_iter, sweep, res.score
     raise NoConvergence(
         f"size/parameter alternation unconverged after {MAX_SWEEPS} sweeps")
 
@@ -388,15 +392,14 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
         if not res.converged:
             raise NoConvergence(
                 f"conditional parameter solve stalled after {res.iterations} iterations "
-                f"(score {np.max(np.abs(res.grad)):.2e})"
+                f"(score {res.score:.2e})"
             )
         if method == "cmle":
             pi0, _ = model.zero_prob_and_grad(res.theta)
             tau_real, tau = _closed_form(comp.m_total, comp.r, comp.f, pi0)
             return ComponentFit(theta=res.theta, tau_real=tau_real, tau=tau,
                                 iterations=res.iterations, sweeps=0,
-                                grad_norm=float(np.max(np.abs(res.grad))),
-                                converged=True)
+                                grad_norm=res.score, converged=True)
         theta0, iterations = res.theta, res.iterations
     theta, tau, tau_real, iters, sweeps, score_norm = _integer_size_ascent(
         comp, model, theta0)

@@ -20,7 +20,9 @@ defines them, so a study does not load ``scipy.stats``.
 
 Replicates whose estimation fails are excluded from the aggregate moments and
 coverage (a diverged solver would poison the normality statistics) but are
-tallied and keep their CSV row with the error message.
+tallied and keep their CSV row with the error message.  A statistic that is
+undefined (too few successes, or constant values) is NaN; ``summary.json``
+writes it as ``null``, so the file is strict JSON.
 """
 
 from __future__ import annotations
@@ -146,15 +148,15 @@ def _replicate_rows(config: ExperimentConfig, index: int) -> list[dict]:
                 tau_hat=report.tau,
                 sigma1_sq=v.sigma1_sq, sigma2_sq=v.sigma2_sq, sigma_sq=v.sigma_sq,
             )
-            for name, true_val in (("tau1", truth.tau1), ("tau2", truth.tau2),
-                                   ("tau", truth.tau)):
+            for name, true_val, sigma_sq in (("tau1", truth.tau1, v.sigma1_sq),
+                                             ("tau2", truth.tau2, v.sigma2_sq),
+                                             ("tau", truth.tau, v.sigma_sq)):
                 lo, hi = v.intervals[name]
                 row[f"{name}_lo"], row[f"{name}_hi"] = lo, hi
                 row[f"{name}_hit"] = int(lo <= true_val <= hi)
-            row["z_tau1"] = _zscore(report.tau1 - truth.tau1, truth.tau1 * v.sigma1_sq)
-            row["z_tau2"] = _zscore(report.tau2 - truth.tau2, truth.tau2 * v.sigma2_sq)
-            row["z_tau"] = _zscore(report.tau - truth.tau, truth.tau * v.sigma_sq)
-            cov1, cov2 = theta_covariances(report, data, pop.model1, pop.model2)
+                row[f"z_{name}"] = _zscore(getattr(report, name) - true_val,
+                                           true_val * sigma_sq)
+            cov1, cov2 = theta_covariances(report)
             for label, est, true_theta, cov, tau_hat, tau_true in (
                 ("theta1", report.theta1, truth.theta1, cov1, report.tau1, truth.tau1),
                 ("theta2", report.theta2, truth.theta2, cov2, report.tau2, truth.tau2),
@@ -193,7 +195,9 @@ class TargetStats:
     normality_pvalue: float
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        """The statistics, a non-finite one as ``None``: JSON has no NaN."""
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in self.__dict__.items()}
 
 
 @dataclass
@@ -342,7 +346,7 @@ def emit_reports(summary: MonteCarloSummary, out_dir) -> dict:
         "digest": os.path.join(out_dir, "digest.txt"),
     }
     with open(paths["summary"], "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(paths["csv"], "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -19,6 +19,11 @@ blocks, and the empirical estimator walks both parts' person vectors in one
 loop.  The builders keep their own guards: ``sigma1`` refuses a vanishing
 ``f pi0`` before dividing by it.
 
+The empirical estimator is numpy's frequency-weighted sample covariance of
+one vector per person.  For ``psi1`` an outside-linked person's vector is the
+score of the zero-truncated pattern draw, the full score plus a constant:
+``grad / prob + g0 / (1 - pi0)``.
+
 One function, :func:`_route`, turns any of the three matrices into a part's
 scalar variance and link-parameter covariance ``C``.  The two fitting routes
 differ only in ``C``: for a joint matrix it is the inverse of the parameter
@@ -41,7 +46,8 @@ population-share-weighted mixture of the component variances.
 :func:`attach_variance` makes one pass per estimate.  It builds the
 method-matched covered-part matrix (``sigma1`` for ``umle``, ``psi1`` for
 ``cmle``) and ``sigma2`` once each, analytically or as empirical estimates,
-and passes each through :func:`_route`, as the public scalar variances do.
+and passes each through :func:`_route` with the part's escape factor
+``Component.f``, as the public scalar variances do.
 It keeps both parts' link-parameter covariances from the route on the
 :class:`VarianceReport`.  :func:`theta_covariances` only returns that stored
 pair, so it follows the variance source and needs :func:`attach_variance`
@@ -272,13 +278,13 @@ def sigma2_sq(theta2, model2) -> float:
     return _route(theta2, model2, 1.0, sigma2_inverse(theta2, model2))[0]
 
 
-def theta_covariances(report: EstimateReport, data: SampleData, model1, model2):
+def theta_covariances(report: EstimateReport):
     """Asymptotic covariance matrices of the link-parameter estimators,
     matched to the report's method (for the covered part) and shared for the
     uncovered part.  These are covariances of ``sqrt(tau) * error``.
 
     They come from the matrices :func:`attach_variance` built, so they
-    follow its ``source``; ``data`` and the models are not used again.
+    follow its ``source``.
     """
     v = report.variance
     if v is None:
@@ -297,9 +303,11 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
 
     Observed people contribute the vector of their recorded pattern; the
     ``tau_hat - (observed)`` unobserved people all share the zero-pattern
-    vector.  The computation weights each distinct pattern by its count, so
-    no per-person arrays are materialized; the covariance divisor is
-    ``tau_hat - 1``.
+    vector.  For ``psi1`` an outside-linked person's vector is the score of
+    the zero-truncated pattern draw, ``grad / prob + g0 / (1 - pi0)``, and an
+    unobserved person's is zero.  The covariance is numpy's, weighted by each
+    distinct pattern's count, so no per-person arrays are materialized; its
+    divisor is ``tau_hat - 1``.
     """
     if which not in ("sigma1", "psi1", "sigma2"):
         raise DomainError(f"unknown matrix kind {which!r}")
@@ -318,7 +326,6 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
         raise DegenerateDenominator(
             "the zero-pattern vector divides by (1 - n/N) * pi0"
         )
-    escape = 1.0 - pi0
     blocks, weights = [], []
     for site, pats, counts in comp.tables:
         if not len(pats):
@@ -326,12 +333,10 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
         probs, grads = model.probs_and_grads(theta_hat, pats, within_site=site)
         _positive(probs, "an observed pattern probability" if site is None else
                   f"a within-site pattern probability (site {site})")
+        vecs = grads / probs[:, None]
         if site is None and not joint:
             # scores of the zero-truncated pattern draw
-            tg = grads / escape + probs[:, None] * g0 / escape**2
-            vecs = tg / (probs / escape)[:, None]
-        else:
-            vecs = grads / probs[:, None]
+            vecs += g0 / (1.0 - pi0)
         blocks.append(np.hstack([np.ones((len(vecs), 1)), vecs]) if joint else vecs)
         weights.append(counts)
     if joint:
@@ -355,9 +360,7 @@ def empirical_v_covariance(data: SampleData, theta_hat, tau_hat: int, model,
             f"{total} effective observations are too few for a {dim}-dimensional "
             "covariance"
         )
-    mean = (w @ V) / total
-    centered = V - mean
-    M = (centered.T * w) @ centered / (total - 1.0)
+    M = np.atleast_2d(np.cov(V, rowvar=False, fweights=w.astype(np.int64)))
     # degenerate data can make the sample covariance singular (for instance
     # when everyone is observed the size coordinate is constant); keep the
     # matrix and let any downstream inversion raise instead
@@ -445,10 +448,10 @@ def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
               empirical_v_covariance(data, theta1, report.tau1, model1, "psi1"))
     else:
         raise DomainError(f"unknown method {report.method!r}")
-    s1, cov1 = _route(theta1, model1, 1.0 - n / N, m1)
+    s1, cov1 = _route(theta1, model1, data.covered.f, m1)
     m2 = (sigma2_inverse(theta2, model2) if analytic else
           empirical_v_covariance(data, theta2, report.tau2, model2, "sigma2"))
-    s2, cov2 = _route(theta2, model2, 1.0, m2)
+    s2, cov2 = _route(theta2, model2, data.uncovered.f, m2)
     combined, intervals = _interval_set(report.tau1, report.tau2, s1, s2, level)
     report.variance = VarianceReport(
         method=report.method, source=source,

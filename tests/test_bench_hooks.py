@@ -8,6 +8,7 @@ rather than only in a benchmark run."""
 import pathlib
 
 import numpy as np
+import pytest
 from scipy.special import logit
 
 import snowlink.experiments as experiments
@@ -80,6 +81,32 @@ def test_tracer_installs_records_and_restores(monkeypatch):
     for cls in classes:
         for attr in kernel:
             assert getattr(cls, attr) is getattr(MixtureLinkModel, attr)
+
+
+@pytest.mark.parametrize("method", ["umle", "cmle"])
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_tracer_counts_each_precision_build_and_enumerated_pattern(monkeypatch,
+                                                                   family, method):
+    # attach_variance must reach the precision builders and the pattern
+    # enumeration through the module globals the tracer rebinds
+    monkeypatch.syspath_prepend(str(MCBENCH))
+    from tracing import Tracer
+
+    n = 3
+    population = _rasch_population(n) if family == "rasch" else _population(n)
+    data, _ = draw_sample(population, replicate_rng(3, 0))
+    report = experiments.fit_total(data, population.model1, population.model2, method)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        experiments.attach_variance(report, data, population.model1, population.model2)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["variance.precision.calls"] == 2
+    # between-site spaces of both parts, and each site's within-site space;
+    # the homogeneous family sums its information in closed form
+    expected = 2 * 2**n + n * 2**(n - 1) if family == "rasch" else 0
+    assert tracer.counts["patterns.enumerated"] == expected
 
 
 def test_estimate_clock_times_each_method_and_restores(monkeypatch):

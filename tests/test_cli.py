@@ -157,6 +157,24 @@ def test_estimate_non_integer_count_exits_nonzero(tmp_path, capsys):
     assert "error: between1: malformed entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["sigma1", "psi1", "sigma2"])
+@pytest.mark.parametrize("design, message", [
+    ("7,2", "model has 3 sites but the design says 7"),
+    ("3,2", "need 1 <= n <= N, got n=3, N=2"),
+])
+def test_matrices_refuses_a_design_that_contradicts_the_model(tmp_path, capsys, which,
+                                                              design, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": 3}))
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps([-0.5, -0.5, -0.5]))
+    out = tmp_path / "m.json"
+    err = _error_exit(["matrices", "--model", str(model), "--theta", str(theta),
+                       "--design", design, "--which", which, "--out", str(out)], capsys)
+    assert message in err
+    assert not out.exists()
+
+
 def test_matrices_theta_without_values_exits_nonzero(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"family": "homogeneous", "n": 2}))

@@ -57,6 +57,35 @@ def test_closed_form_degenerate_denominator():
 
 
 # ---------------------------------------------------------------------------
+# Inner solver: projection onto the lower bounds
+
+
+def _quadratic(center):
+    """A concave quadratic with its maximum at ``center``: value and gradient."""
+    def fg(theta):
+        d = theta - center
+        return -0.5 * float(d @ d), -d
+    return fg
+
+
+def test_maximize_stops_at_a_lower_bound_with_a_zero_projected_score():
+    # the maximizer's second coordinate lies below its bound 0, so the solve
+    # ends on the bound, where the raw gradient still points down
+    fg = _quadratic(np.array([0.5, -2.0]))
+    res = estimators._maximize(fg, [0.5, 1.0], lower=np.array([-np.inf, 0.0]))
+    assert res.converged
+    assert np.array_equal(res.theta, [0.5, 0.0])
+    assert np.array_equal(fg(res.theta)[1], [0.0, -2.0])
+    assert res.score == 0.0
+
+
+def test_maximize_without_a_bound_reaches_the_interior_maximizer():
+    res = estimators._maximize(_quadratic(np.array([0.5, -2.0])), [0.5, 1.0])
+    assert res.converged and res.score <= estimators.SCORE_TOL
+    assert np.allclose(res.theta, [0.5, -2.0], rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
 # Independent grid-search oracle (two sites, homogeneous links); the pattern
 # probabilities and pmf pieces are written out from scratch here.
 

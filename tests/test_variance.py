@@ -589,7 +589,7 @@ def test_theta_covariances_bitwise_equal_to_rebuilt_matrices(family, method):
     report = EstimateReport(method=method, tau1_real=600.0, tau1=600,
                             tau2_real=300.0, tau2=300, theta1=theta1, theta2=theta2)
     attach_variance(report, data, model, model)
-    cov1, cov2 = theta_covariances(report, data, model, model)
+    cov1, cov2 = theta_covariances(report)
     ref1, ref2 = _theta_covariances_rebuilt(report, data, model, model)
     assert cov1.shape == (model.q, model.q) and cov2.shape == (model.q, model.q)
     assert np.array_equal(cov1, ref1)
@@ -642,10 +642,8 @@ def test_theta_covariances_requires_variance():
     report = EstimateReport(method="umle", tau1_real=10.0, tau1=10,
                             tau2_real=5.0, tau2=5,
                             theta1=np.zeros(2), theta2=np.zeros(2))
-    data = SampleData(n=2, N=6, m=(3, 3))
-    model = HomogeneousLinkModel(2)
     with pytest.raises(DomainError):
-        theta_covariances(report, data, model, model)
+        theta_covariances(report)
 
 
 @pytest.mark.parametrize("source", ["analytic", "empirical_v"])
@@ -671,7 +669,7 @@ def test_uncovered_covariance_is_the_route_covariance(source, method):
     else:
         m2 = empirical_v_covariance(data, report.theta2, report.tau2, model, "sigma2")
     s2, cov2 = _route(report.theta2, model, 1.0, m2)
-    assert np.array_equal(theta_covariances(report, data, model, model)[1], cov2)
+    assert np.array_equal(theta_covariances(report)[1], cov2)
     assert report.variance.sigma2_sq == s2
 
 
@@ -694,7 +692,7 @@ def test_empirical_sigma2_without_inverse_still_gives_uncovered_covariance(metho
     assert empirical_v_covariance(data, theta2, tau2, model,
                                   "sigma2").covariance_form is None
     attach_variance(report, data, model, model, source="empirical_v")
-    _, cov2 = theta_covariances(report, data, model, model)
+    _, cov2 = theta_covariances(report)
     assert cov2.shape == (2, 2)
     assert np.all(np.diag(cov2) > 0)
     assert report.variance.sigma2_sq > 0

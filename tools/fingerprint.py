@@ -172,8 +172,8 @@ def run_draw(sl, fp: Fingerprint, index: int):
             if fp.record("variance", label,
                          lambda: _variance(sl, report, data, pop, source)) is None:
                 continue
-            fp.record("variance", f"{label}/theta_cov", lambda: sl.theta_covariances(
-                report, data, pop.model1, pop.model2))
+            fp.record("variance", f"{label}/theta_cov",
+                      lambda: sl.theta_covariances(report))
     t1, t2 = pop.theta1, pop.theta2
     fp.record("matrices", f"{tag}/sigma1",
               lambda: _matrices(sl.sigma1_inverse(t1, pop.model1, n, N)))

@@ -7,7 +7,6 @@ probability 0.3 (covered part) or 0.25 (uncovered part).
 """
 
 import numpy as np
-from scipy.special import logit
 
 from snowlink import (
     ConditionalMultinomial,
@@ -18,6 +17,11 @@ from snowlink import (
     fit_total,
     replicate_rng,
 )
+
+
+def logit(p):
+    return np.log(p / (1.0 - p))
+
 
 config = PopulationConfig(
     N=10, n=4, cluster_mode=ConditionalMultinomial(2000), tau2=1000,

@@ -8,7 +8,6 @@ site sampling fraction n/N is small.
 """
 
 import numpy as np
-from scipy.special import logit
 
 from snowlink import (
     ConditionalMultinomial,
@@ -23,6 +22,11 @@ from snowlink import (
     sigma1_sq_umle,
     sigma2_sq,
 )
+
+
+def logit(p):
+    return np.log(p / (1.0 - p))
+
 
 n, N = 4, 10
 model = HomogeneousLinkModel(n)

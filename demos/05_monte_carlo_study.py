@@ -10,7 +10,6 @@ reproduce the same bytes.
 """
 
 import numpy as np
-from scipy.special import logit
 
 from snowlink import (
     ConditionalMultinomial,
@@ -21,6 +20,11 @@ from snowlink import (
     run_experiment,
 )
 from snowlink.experiments import render_digest
+
+
+def logit(p):
+    return np.log(p / (1.0 - p))
+
 
 population = PopulationConfig(
     N=10, n=4, cluster_mode=ConditionalMultinomial(2000), tau2=1000,

@@ -37,7 +37,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import logit
 
 from .errors import (
     DegenerateDenominator,
@@ -257,7 +256,8 @@ def _maximize(fg, theta0, lower=None) -> _OptResult:
 
 
 def _safe_logit(p):
-    return logit(np.clip(p, 1e-4, 1.0 - 1e-4))
+    p = np.clip(p, 1e-4, 1.0 - 1e-4)
+    return np.log(p / (1.0 - p))
 
 
 def _link_tally(comp: Component):

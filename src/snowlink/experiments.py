@@ -16,7 +16,9 @@ start.  Rows keep the order of ``config.methods``.
 
 The study moments (skewness, excess kurtosis and the Jarque-Bera normality
 test of the standardized errors) are computed with numpy, as ``scipy.stats``
-defines them, so a study does not load ``scipy.stats``.
+defines them, and :func:`~snowlink.variance.z_critical` takes the normal
+quantile from the standard library, so a study, like the rest of the
+package, loads no scipy.
 
 Replicates whose estimation fails are excluded from the aggregate moments and
 coverage (a diverged solver would poison the normality statistics) but are
@@ -35,7 +37,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvariantViolation, ParseError, SnowlinkError
 from .estimators import fit_total
@@ -46,7 +47,7 @@ from .simulator import (
     population_config_to_dict,
     replicate_rng,
 )
-from .variance import attach_variance, theta_covariances
+from .variance import attach_variance, theta_covariances, z_critical
 
 SCHEMA_VERSION = 1
 
@@ -123,7 +124,7 @@ def _replicate_rows(config: ExperimentConfig, index: int) -> list[dict]:
     pop = config.population
     rng = replicate_rng(config.master_seed, index)
     data, truth = draw_sample(pop, rng)
-    zcrit = float(ndtri(0.5 * (1.0 + config.level)))
+    zcrit = z_critical(config.level)
     rows = [None] * len(config.methods)
     warm = None
     # cmle runs first: its parameters are the conditional fit that umle

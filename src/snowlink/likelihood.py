@@ -26,7 +26,8 @@ The dropped constants are fixed so that the exact factorization
 holds identically for the frame-covered part; the tests check it against
 reference cluster and binomial-escape factors, asserting differences only,
 never absolute levels.  Sizes are treated as continuous through log-gamma;
-callers floor them at reporting time.
+callers floor them at reporting time.  The size-dependent constant is
+:func:`_size_term`, from :func:`math.lgamma`.
 
 Zero observed counts contribute nothing (``0 * log pi == 0``); a probability
 that is actually needed but underflows to zero raises
@@ -36,10 +37,10 @@ because a vanishing pattern probability signals a model/data mismatch.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, NonFiniteLikelihood, Unidentifiable
 from .patterns import Component, SampleData
@@ -61,6 +62,19 @@ def _require_positive(probs, what: str):
     probs = np.asarray(probs)
     if not (probs.min(initial=np.inf) >= PI_FLOOR and probs.max(initial=0.0) < np.inf):
         raise NonFiniteLikelihood(f"{what} underflowed to zero")
+
+
+def _size_term(comp: Component, tau: float) -> float:
+    """``log tau! - log (tau - m - r)! + (tau - m) log f``, the size-dependent
+    part of :func:`loglik_full`, with ``0 log 0 = 0`` and ``x log 0 = -inf``:
+    at ``n == N`` (``f = 0``) every size above the ``m`` people in the sampled
+    sites is impossible."""
+    escaped = tau - comp.m_total
+    if comp.f > 0.0:
+        escape = escaped * math.log(comp.f)
+    else:
+        escape = -math.inf if escaped else 0.0
+    return math.lgamma(tau + 1.0) - math.lgamma(escaped - comp.r + 1.0) + escape
 
 
 def _counted_terms(comp: Component, theta, model):
@@ -90,8 +104,7 @@ def loglik_full(comp: Component, tau: float, theta, model) -> LogLikTerms:
         raise DomainError(f"size {tau} is below m + r = {m + r}")
     unobserved = tau - m - r
     value, grad = _counted_terms(comp, theta, model)
-    value += float(gammaln(tau + 1.0) - gammaln(unobserved + 1.0)
-                   + xlogy(tau - m, comp.f))
+    value += _size_term(comp, tau)
     p0, g0 = model.zero_prob_and_grad(theta)
     if unobserved > 0:
         _require_positive(p0, "the zero-pattern probability")

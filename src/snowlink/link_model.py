@@ -33,8 +33,16 @@ quantities once: it keeps the offsets and the node-major ``expit`` and
 ``log_expit`` arrays of the last vector it saw, over all ``n`` sites, and
 every kernel call on that vector takes its scope's columns of them, as the
 all-zero pattern's probability and gradient are kept once computed.  One
-likelihood evaluation, whatever its number of tables, so calls the scipy
-functions once.  Each result is bit for bit the one a fresh model computes.
+likelihood evaluation, whatever its number of tables, so evaluates the
+logistic functions once.  Each result is bit for bit the one a fresh model
+computes.
+
+The logistic functions are numpy forms that never overflow: :func:`log_expit`
+is ``-logaddexp(0, -x)``, and :func:`expit` is ``-expm1(log_expit(-x))``, so
+a node state's link probabilities cost one ``expm1`` of the
+``log_expit(-A)`` it keeps anyway.
+:mod:`~snowlink.variance` imports the same two, and the simulator draws
+through :meth:`MixtureLinkModel.draw_links`.
 
 The number of quadrature nodes is configurable.  The default of 100 nodes
 keeps the worst-case absolute error of the mixture integrals below 1e-11 for
@@ -47,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import expit, log_expit
 
 from .errors import (
     DimensionMismatch,
@@ -65,6 +72,17 @@ DEFAULT_QUADRATURE_NODES = 100
 #: flat for any pattern count: unblocked, the 2^20 patterns of an n = 20
 #: enumeration at 100 nodes would need about 0.8 GB per temporary.
 _BLOCK_ENTRIES = 4096 * 100
+
+
+def log_expit(x):
+    """``log(1 / (1 + exp(-x)))``, elementwise and finite for every finite ``x``."""
+    return -np.logaddexp(0.0, -x)
+
+
+def expit(x):
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise, as
+    ``1 - exp(log_expit(-x))`` by ``expm1``, so it never overflows."""
+    return -np.expm1(log_expit(-x))
 
 
 @dataclass(frozen=True)
@@ -177,8 +195,10 @@ class MixtureLinkModel:
             theta = self.validate_theta(theta)
             c, dc = self._offsets(theta[self.n:])
             A = theta[:self.n] + c
-            state = self._memo = _NodeState(key, dc, log_expit(A), log_expit(-A),
-                                            expit(A))
+            log_1me = log_expit(-A)
+            # expit(A) as expit computes it, from the log_expit(-A) at hand
+            state = self._memo = _NodeState(key, dc, log_expit(A), log_1me,
+                                            -np.expm1(log_1me))
         return state
 
     def probs_and_grads(self, theta, patterns, within_site=None):

@@ -60,10 +60,9 @@ non-singularity, so a violation must surface rather than be pseudo-inverted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, log_expit, ndtri
 
 from .errors import (
     DegenerateDenominator,
@@ -73,7 +72,7 @@ from .errors import (
     SingularMatrix,
 )
 from .estimators import EstimateReport
-from .link_model import HomogeneousLinkModel
+from .link_model import HomogeneousLinkModel, expit, log_expit
 from .patterns import SampleData, check_design, enumerate_patterns
 
 CONDITION_LIMIT = 1e12
@@ -97,21 +96,20 @@ class AsymptoticMatrices:
 
 
 def _guarded_inverse(M: np.ndarray, label: str):
+    """The inverse of the symmetric part of ``M`` and its condition number,
+    both from one eigendecomposition ``V diag(w) V^T``: the inverse is
+    ``V diag(1/w) V^T``."""
     M = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 0.0:
-        raise SingularMatrix(f"{label} is not positive definite (min eig {eigs[0]:.3e})")
-    cond = float(eigs[-1] / eigs[0])
+    w, V = np.linalg.eigh(M)
+    if w[0] <= 0.0:
+        raise SingularMatrix(f"{label} is not positive definite (min eig {w[0]:.3e})")
+    cond = float(w[-1] / w[0])
     if cond > CONDITION_LIMIT:
         raise SingularMatrix(
             f"{label} condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
             "refusing to invert"
         )
-    try:
-        inv = cho_solve(cho_factor(M), np.eye(len(M)))
-    except np.linalg.LinAlgError:  # pragma: no cover - eig check passed
-        w, V = np.linalg.eigh(M)
-        inv = (V / w) @ V.T
+    inv = (V / w) @ V.T
     return 0.5 * (inv + inv.T), cond
 
 
@@ -405,10 +403,15 @@ class VarianceReport:
         }
 
 
+def z_critical(level: float) -> float:
+    """The two-sided standard-normal critical value of a ``level`` interval."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
+
+
 def _interval(center: float, variance: float, level: float):
     if variance < 0:
         raise DomainError(f"negative variance {variance}")
-    half = ndtri(0.5 * (1.0 + level)) * float(np.sqrt(variance))
+    half = z_critical(level) * float(np.sqrt(variance))
     return (float(center - half), float(center + half))
 
 

@@ -6,7 +6,10 @@ finite differences for gradients, direct pmf formulas (via scipy) for the
 integer size profiles, case-by-case construction of the per-person
 score vectors for the moment checks, the random-effect kernel as a loop
 over quadrature nodes, and the homogeneous kernel as the direct product of
-per-site factors.  The cluster and binomial-escape factors of the
+per-site factors.  The two kernel references take the package's own
+elementwise ``expit`` and ``log_expit`` (the tests compare those with scipy's)
+and rewrite only the kernel's arithmetic; the trapezoid oracle uses scipy's
+``expit``.  The cluster and binomial-escape factors of the
 frame-covered likelihood live here too, as the references for the
 factorization ``full = cluster + conditional + binomial-escape``, and so does
 the likelihood with each site's unlinked people in a kernel call of their
@@ -15,9 +18,10 @@ own, the reference for the one counted sum over the tables.
 
 import numpy as np
 import pytest
-from scipy.special import expit, gammaln, log_expit, xlogy
+from scipy.special import expit as scipy_expit, gammaln, xlogy
 
 from snowlink import DomainError, enumerate_patterns
+from snowlink.link_model import expit, log_expit
 from snowlink.likelihood import LogLikTerms, _require_positive
 
 
@@ -110,7 +114,7 @@ def mixture_prob_trapezoid(alpha, sigma, x, n, within_site=None, npts=100_000):
     for i in range(n):
         if i == within_site:
             continue
-        p = expit(alpha[i] + sigma * z)
+        p = scipy_expit(alpha[i] + sigma * z)
         prod = prod * (p if (x >> i) & 1 else 1.0 - p)
     return float(np.trapezoid(prod * density, z))
 
@@ -314,3 +318,9 @@ def json_field_changes(old, new, path=""):
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
     relative = f" ({(new - old) / abs(old):+.2e} relative)" if numbers and old else ""
     return [f"{path}: {old!r} -> {new!r}{relative}"]
+
+
+def imported_modules(importtime_stderr: str) -> list[str]:
+    """The module names that ``python -X importtime`` lists on stderr."""
+    return [line.rpartition("|")[2].strip() for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")]

@@ -29,11 +29,16 @@ from snowlink.experiments import (
     csv_columns,
     render_digest,
 )
+from snowlink.patterns import sample_to_dict
 from snowlink.simulator import (
     ConditionalMultinomial,
     PopulationConfig,
+    draw_sample,
     population_config_to_dict,
+    replicate_rng,
 )
+
+from conftest import imported_modules
 
 
 def _population(n=3, N=8, tau1=400, tau2=200, p1=0.35, p2=0.3):
@@ -160,25 +165,50 @@ def test_golden_digest_bytes():
     assert render_digest(summary) == golden.read_text()
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # nor does a study: its moments are computed with numpy
+def _package_env():
+    """The environment of a subprocess that imports this package's tree."""
     import snowlink
 
     src = pathlib.Path(snowlink.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # nor any other scipy module, nor does a study: its moments are computed
+    # with numpy, its normal quantile with the standard library
     code = (
         "import sys, numpy as np, snowlink as sl\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "def scipy_loaded():\n"
+        "    return any(name.partition('.')[0] == 'scipy' for name in sys.modules)\n"
+        "print(scipy_loaded())\n"
         "pop = sl.PopulationConfig(N=8, n=3, cluster_mode=sl.ConditionalMultinomial(400),\n"
         "    tau2=200, model1=sl.HomogeneousLinkModel(3), model2=sl.HomogeneousLinkModel(3),\n"
         "    theta1=np.full(3, -0.6), theta2=np.full(3, -0.8))\n"
         "summary = sl.run_experiment(sl.ExperimentConfig(population=pop, replicates=9))\n"
         "print(np.isfinite(summary.per_method['umle'].targets['tau'].skewness))\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "print(scipy_loaded())\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "True", "False"]
+
+
+def test_cli_estimate_loads_no_scipy(tmp_path):
+    # the whole command, fit and variances included, as a user runs it;
+    # -X importtime lists every module the process imports on stderr
+    pop = _population()
+    data, _ = draw_sample(pop, replicate_rng(5, 0))
+    sample, model, report = tmp_path / "sample.json", tmp_path / "model.json", tmp_path / "r.json"
+    sample.write_text(json.dumps(sample_to_dict(data)))
+    model.write_text(json.dumps({"family": "homogeneous", "n": pop.n}))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "snowlink.cli", "estimate",
+         "--data", str(sample), "--model", str(model), "--method", "umle", "--out", str(report)],
+        env=_package_env(), check=True, capture_output=True, text=True)
+    imported = imported_modules(run.stderr)
+    assert "snowlink.variance" in imported
+    assert not [name for name in imported if name.partition(".")[0] == "scipy"]
+    assert json.loads(report.read_text())["variance"]["intervals"]["tau"]
 
 
 @pytest.mark.parametrize("n", [8, 20, 500])

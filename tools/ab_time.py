@@ -12,10 +12,15 @@ benchmark's rounds, with a clock around each ``fit_total`` plus
     OPENBLAS_NUM_THREADS=1 python tools/ab_time.py A_SRC B_SRC \\
         [--workload desk-homog] [--rounds 24] [--seed 1]
 
-It prints, per round, the replicate rates of both trees, and then the
-median and quartiles over rounds of the paired ratios: B/A for the
-replicate rate, and A/B for each method's median estimate time, so a ratio
-above 1 means B is faster.  Separate benchmark runs of identical code on a
+Each tree is given as its ``src`` directory, the one that holds the
+``snowlink`` package directory.  Before the rounds it prints the cold start
+of both trees: the CPU time of a fresh interpreter that imports the package
+and parses the workload config, as the benchmark's ``setup_s`` counts it, in
+``COLD_START_PAIRS`` alternating pairs.  It then prints, per round, the
+replicate rates of both trees, and at the end the median and quartiles over
+pairs of the paired ratios: A/B for the cold start, B/A for the replicate
+rate, and A/B for each method's median estimate time, so a ratio above 1
+means B is faster.  Separate benchmark runs of identical code on a
 small shared host can differ by far more than a code change does; a pair of
 rounds shares the host's state of the moment, so the paired ratios resolve
 much smaller differences.  Reports go to a temporary directory only.
@@ -30,7 +35,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -38,6 +45,19 @@ from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Alternating pairs of fresh interpreters timed per tree before the rounds.
+COLD_START_PAIRS = 10
+
+#: What a cold start runs: the package import and the config parse, then the
+#: interpreter's CPU time so far (argv: the ``src`` directory, the config).
+_COLD_START = (
+    "import json, sys, time\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import snowlink\n"
+    "snowlink.experiment_config_from_dict(json.loads(sys.argv[2]))\n"
+    "print(time.process_time())\n"
+)
 
 
 def _load(name: str, path: Path):
@@ -100,6 +120,13 @@ class Side:
             self.estimate_s.setdefault(method, []).append(statistics.median(seconds))
 
 
+def cold_start_s(src: Path, config_dict: dict) -> float:
+    """CPU seconds of one fresh interpreter from start to a parsed config."""
+    out = subprocess.run([sys.executable, "-c", _COLD_START, str(src), json.dumps(config_dict)],
+                         check=True, capture_output=True, text=True).stdout
+    return float(out)
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -122,9 +149,18 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {', '.join(workloads.WORKLOADS)}")
+    srcs = (args.a_src.resolve(), args.b_src.resolve())
+    for src in srcs:
+        if not (src / "snowlink" / "__init__.py").is_file():
+            parser.error(f"{src} holds no snowlink/__init__.py: give the 'src' directory "
+                         "of a checkout, the one that holds the snowlink package")
     config_dict = workloads.experiment_config(args.workload, args.seed)
-    sides = (Side("a", args.a_src.resolve(), config_dict),
-             Side("b", args.b_src.resolve(), config_dict))
+    cold = ([], [])
+    for pair in range(COLD_START_PAIRS):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            cold[side].append(cold_start_s(srcs[side], config_dict))
+        print(f"cold start {pair:3d}  CPU s  A {cold[0][-1]:.3f}  B {cold[1][-1]:.3f}", flush=True)
+    sides = (Side("a", srcs[0], config_dict), Side("b", srcs[1], config_dict))
     print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds of "
           f"{config_dict['replicates']} replicates")
     with tempfile.TemporaryDirectory() as tmp:
@@ -139,7 +175,8 @@ def main(argv=None) -> int:
                   f"  B/A {b.rates[-1] / a.rates[-1]:.3f}", flush=True)
 
     a, b = sides
-    rows = [("replicates_per_s (B/A)", [y / x for x, y in zip(a.rates, b.rates)])]
+    rows = [("cold start CPU s (A/B)", [x / y for x, y in zip(*cold)]),
+            ("replicates_per_s (B/A)", [y / x for x, y in zip(a.rates, b.rates)])]
     for method in sorted(a.estimate_s):
         rows.append((f"{method} estimate s p50 (A/B)",
                      [x / y for x, y in zip(a.estimate_s[method], b.estimate_s[method])]))

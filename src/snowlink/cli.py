@@ -96,12 +96,9 @@ def _cmd_matrices(args) -> int:
     # sigma2 does not use the design, but a design that contradicts the
     # model is still an input error
     check_design(model, n, N)
-    if args.which == "sigma1":
-        mats = sigma1_inverse(theta, model, n, N)
-    elif args.which == "psi1":
-        mats = psi1_inverse(theta, model, n, N)
-    else:
-        mats = sigma2_inverse(theta, model)
+    mats = (sigma1_inverse(theta, model, n, N) if args.which == "sigma1" else
+            psi1_inverse(theta, model, n, N) if args.which == "psi1" else
+            sigma2_inverse(theta, model))
     _dump_json(
         {
             "schema_version": 1,

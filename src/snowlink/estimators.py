@@ -21,10 +21,12 @@ the reported estimate keeps both the continuous ratio value and its floor.
 The inner ascent is a damped Newton method on the analytic gradient with a
 finite-difference Hessian, backtracking line search, and Levenberg-style
 damping that degrades gracefully to (scaled) gradient ascent when the
-Hessian is not usable; parameter lower bounds (the person-effect spread) are
-handled by projection.  Each solve computes the projected score norm once per
-accepted point and carries it on its result: convergence, the ``grad_norm``
-both methods report and the stall message all read that one value.  Its
+Hessian is not usable.  Every parameter has a lower bound, ``-inf`` where it
+is free (only the person-effect spread has a finite one), and the solver
+projects onto them with one ``np.maximum``, the identity on a free
+coordinate.  Each solve computes the projected score norm once per accepted
+point and carries it on its result: convergence, the ``grad_norm`` both
+methods report and the stall message all read that one value.  Its
 tolerances are the module constants :data:`SCORE_TOL`, :data:`MAX_ITER` and
 :data:`MAX_SWEEPS`.
 """
@@ -149,16 +151,10 @@ def _closed_form(m: int, r: int, f: float, pi0: float):
 # Inner solver
 
 
-def _projected(theta, lower):
-    return theta if lower is None else np.maximum(theta, lower)
-
-
 def _score_norm(grad, theta, lower) -> float:
     """Infinity norm of the projected score: at a lower bound only an upward
     push counts."""
-    if lower is not None:
-        grad = np.where(theta <= lower, np.maximum(grad, 0.0), grad)
-    return float(np.max(np.abs(grad)))
+    return float(np.abs(np.where(theta <= lower, np.maximum(grad, 0.0), grad)).max())
 
 
 def _fd_hessian(fg, theta, grad0, lower):
@@ -168,8 +164,7 @@ def _fd_hessian(fg, theta, grad0, lower):
     H = np.empty((q, q))
     for i in range(q):
         h = 1e-6 * max(1.0, abs(theta[i]))
-        lo = theta[i] - h
-        if lower is not None and lo < lower[i]:
+        if theta[i] - h < lower[i]:
             up = theta.copy()
             up[i] += h
             H[:, i] = (fg(up)[1] - grad0) / h
@@ -198,8 +193,12 @@ class _OptResult:
 def _maximize(fg, theta0, lower=None) -> _OptResult:
     """Damped Newton ascent with backtracking; convergence is a projected
     score norm at most :data:`SCORE_TOL` within :data:`MAX_ITER`
-    iterations."""
-    theta = _projected(np.asarray(theta0, dtype=float).copy(), lower)
+    iterations.  ``lower`` bounds ``theta`` from below, ``-inf`` where a
+    coordinate is free; ``None`` leaves every coordinate free."""
+    theta = np.asarray(theta0, dtype=float)
+    if lower is None:
+        lower = np.full(len(theta), -np.inf)
+    theta = np.maximum(theta, lower)
     value, grad = fg(theta)
     score = _score_norm(grad, theta, lower)
     it = 0
@@ -227,7 +226,7 @@ def _maximize(fg, theta0, lower=None) -> _OptResult:
             # improvement in floating point; fall back to score decrease
             value_noise = 1e-12 * (1.0 + abs(value))
             while step > 1e-14:
-                cand = _projected(theta + step * direction, lower)
+                cand = np.maximum(theta + step * direction, lower)
                 try:
                     v_new, g_new = fg(cand)
                 except SnowlinkError:
@@ -328,7 +327,6 @@ def _integer_size_ascent(comp: Component, model, theta0):
         if tau_next != tau_int:
             tau_int = tau_next
             continue
-        moved = False
         for cand in (tau_int - 1, tau_int + 1):
             if cand < size_min:
                 continue
@@ -336,11 +334,9 @@ def _integer_size_ascent(comp: Component, model, theta0):
             total_iter += alt.iterations
             if alt.converged and alt.value > best + 1e-9:
                 theta, best, tau_int = alt.theta, alt.value, cand
-                moved = True
                 break
-        if moved:
-            continue
-        return theta, tau_int, closed_real(theta), total_iter, sweep, res.score
+        else:
+            return theta, tau_int, closed_real(theta), total_iter, sweep, res.score
     raise NoConvergence(
         f"size/parameter alternation unconverged after {MAX_SWEEPS} sweeps")
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ParseError, SnowlinkError
 from .estimators import fit_total
+from .patterns import _parse_int
 from .simulator import (
     PopulationConfig,
     draw_sample,
@@ -84,10 +85,10 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             population=population_config_from_dict(obj["population"]),
-            replicates=int(obj["replicates"]),
+            replicates=_parse_int(obj["replicates"], "replicates"),
             methods=tuple(obj.get("methods", ("umle", "cmle"))),
-            master_seed=int(obj.get("master_seed", 0)),
-            parallelism=int(obj.get("parallelism", 1)),
+            master_seed=_parse_int(obj.get("master_seed", 0), "master_seed"),
+            parallelism=_parse_int(obj.get("parallelism", 1), "parallelism"),
             level=float(obj.get("level", 0.95)),
             variance_source=str(obj.get("variance_source", "analytic")),
             out_dir=str(obj.get("out_dir", ".")),

@@ -63,7 +63,7 @@ from .errors import (
     ParseError,
     ScopeViolation,
 )
-from .patterns import MAX_SITES
+from .patterns import MAX_SITES, _parse_int
 
 DEFAULT_QUADRATURE_NODES = 100
 
@@ -156,10 +156,8 @@ class MixtureLinkModel:
         beyond = ~((1 << n) - 1)
         self._scopes = {None: (sites, beyond),
                         **{l: (np.delete(sites, l), beyond | 1 << l) for l in range(n)}}
-        #: lower bounds of the whole parameter vector, None when all are free
-        self.lower_bounds = (
-            np.concatenate([np.full(n, -np.inf), self.extra_lower])
-            if self.extra_lower else None)
+        #: lower bounds of the whole parameter vector, -inf where one is free
+        self.lower_bounds = np.concatenate([np.full(n, -np.inf), self.extra_lower])
         self._memo = None
 
     def _offsets(self, extra: np.ndarray):
@@ -180,8 +178,9 @@ class MixtureLinkModel:
         if not np.isfinite(theta).all():
             raise DomainError("parameter vector has non-finite entries")
         lower = self.lower_bounds
-        if lower is not None and np.any(theta < lower):
-            j = int(np.argmax(theta < lower))
+        below = theta < lower
+        if below.any():
+            j = int(np.argmax(below))
             raise DomainError(f"parameter {j} must be >= {lower[j]}, got {theta[j]}")
         return theta
 
@@ -344,9 +343,10 @@ def model_from_spec(spec: dict):
     """
     try:
         family = spec["family"]
-        n = int(spec["n"])
+        n = _parse_int(spec["n"], "n")
         if family == "rasch":
-            nodes = int(spec.get("quadrature_nodes", DEFAULT_QUADRATURE_NODES))
+            nodes = _parse_int(spec.get("quadrature_nodes", DEFAULT_QUADRATURE_NODES),
+                               "quadrature_nodes")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model spec {spec!r}: {exc}") from exc
     if family == "homogeneous":

@@ -89,6 +89,16 @@ def pattern_from_string(s: str, n: int) -> int:
     return sum(1 << i for i, c in enumerate(s) if c == "1")
 
 
+def _parse_int(value, name: str) -> int:
+    """An integer field of an input file, by ``int``.  A bool, or a number
+    with a fractional part, is refused rather than truncated; ``4.0`` is 4.
+    What ``int`` itself refuses raises its own error, for the caller's
+    handler."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_count_map(counts: Mapping[int, int], n: int, label: str,
                         excluded_site: int | None = None) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -265,7 +275,7 @@ def _counts_from_json(items, n: int, label: str) -> dict[int, int]:
     for item in items:
         try:
             x = pattern_from_string(item["pattern"], n)
-            c = int(item["count"])
+            c = _parse_int(item["count"], f"{label} count")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{label}: malformed entry {item!r}") from exc
         out[x] = out.get(x, 0) + c
@@ -286,9 +296,9 @@ def sample_to_dict(data: SampleData) -> dict:
 
 def sample_from_dict(obj: dict) -> SampleData:
     try:
-        n = int(obj["n"])
-        N = int(obj["N"])
-        m = [int(v) for v in obj["m"]]
+        n = _parse_int(obj["n"], "n")
+        N = _parse_int(obj["N"], "N")
+        m = [_parse_int(v, "m") for v in obj["m"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"sample file is missing or mistypes a required field: {exc}") from exc
     if len(m) != n:

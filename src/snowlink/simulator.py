@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation, ParseError
 from .link_model import model_from_spec
-from .patterns import SampleData
+from .patterns import SampleData, _parse_int
 
 
 @dataclass(frozen=True)
@@ -199,14 +199,14 @@ def population_config_from_dict(obj: dict) -> PopulationConfig:
         if kind == "poisson_mean":
             mode: ClusterMode = PoissonMean(float(mode_obj["lambda1"]))
         elif kind == "conditional_multinomial":
-            mode = ConditionalMultinomial(int(mode_obj["tau1"]))
+            mode = ConditionalMultinomial(_parse_int(mode_obj["tau1"], "tau1"))
         else:
             raise ParseError(f"unknown cluster mode type {kind!r}")
         return PopulationConfig(
-            N=int(obj["N"]),
-            n=int(obj["n"]),
+            N=_parse_int(obj["N"], "N"),
+            n=_parse_int(obj["n"], "n"),
             cluster_mode=mode,
-            tau2=int(obj["tau2"]),
+            tau2=_parse_int(obj["tau2"], "tau2"),
             model1=model_from_spec(obj["model1"]),
             model2=model_from_spec(obj["model2"]),
             theta1=np.asarray(obj["theta1"], dtype=float),

@@ -13,11 +13,15 @@ Three precision matrices are available:
 * ``sigma2`` - joint precision for the frame-uncovered part, dimension
   ``q + 1`` (the same for both fitting routes).
 
-The uncovered part is the covered part with escape factor ``f = 1`` and no
-sites, so ``sigma1`` and ``sigma2`` share one assembly around their parameter
-blocks, and the empirical estimator walks both parts' person vectors in one
-loop.  The builders keep their own guards: ``sigma1`` refuses a vanishing
-``f pi0`` before dividing by it.
+``sigma1`` and ``psi1`` come from one covered-part assembly,
+:func:`_covered_precision`: the outside-pattern information enters whole for
+``sigma1`` and zero-truncated for ``psi1``, and both add the same within-site
+blocks.  The uncovered part is the covered part with escape factor ``f = 1``
+and no sites, so ``sigma1`` and ``sigma2`` share the joint form around their
+parameter blocks, and the empirical estimator walks both parts' person
+vectors in one loop.  Each route keeps its own guard: ``sigma1`` refuses a
+vanishing ``f pi0`` before dividing by it, ``psi1`` and ``sigma2`` a
+vanishing ``pi0`` or ``1 - pi0``.
 
 The empirical estimator is numpy's frequency-weighted sample covariance of
 one vector per person.  For ``psi1`` an outside-linked person's vector is the
@@ -53,13 +57,14 @@ It keeps both parts' link-parameter covariances from the route on the
 pair, so it follows the variance source and needs :func:`attach_variance`
 first.
 
-Singular or ill-conditioned matrices are an error: the limit theory assumes
-non-singularity, so a violation must surface rather than be pseudo-inverted.
+Singular, ill-conditioned or non-finite matrices are an error: the limit
+theory assumes non-singularity, so a violation must surface rather than be
+pseudo-inverted or turned into NaNs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -98,13 +103,16 @@ class AsymptoticMatrices:
 def _guarded_inverse(M: np.ndarray, label: str):
     """The inverse of the symmetric part of ``M`` and its condition number,
     both from one eigendecomposition ``V diag(w) V^T``: the inverse is
-    ``V diag(1/w) V^T``."""
+    ``V diag(1/w) V^T``.  A non-finite entry is refused before ``eigh``, and
+    both checks are written so that a NaN fails them."""
+    if not np.isfinite(M).all():
+        raise SingularMatrix(f"{label} has a non-finite entry")
     M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
-    if w[0] <= 0.0:
+    if not w[0] > 0.0:
         raise SingularMatrix(f"{label} is not positive definite (min eig {w[0]:.3e})")
     cond = float(w[-1] / w[0])
-    if cond > CONDITION_LIMIT:
+    if not cond <= CONDITION_LIMIT:
         raise SingularMatrix(
             f"{label} condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
             "refusing to invert"
@@ -114,14 +122,12 @@ def _guarded_inverse(M: np.ndarray, label: str):
 
 
 def _finish(which: str, M: np.ndarray, require_inverse: bool = True) -> AsymptoticMatrices:
-    label = f"the {which} precision matrix"
-    if require_inverse:
-        cov, cond = _guarded_inverse(M, label)
-    else:
-        try:
-            cov, cond = _guarded_inverse(M, label)
-        except SingularMatrix:
-            cov, cond = None, float("inf")
+    try:
+        cov, cond = _guarded_inverse(M, f"the {which} precision matrix")
+    except SingularMatrix:
+        if require_inverse:
+            raise
+        cov, cond = None, float("inf")
     return AsymptoticMatrices(which=which, inverse_form=0.5 * (M + M.T),
                               covariance_form=cov, condition_number=cond)
 
@@ -170,14 +176,6 @@ def _truncated(info: np.ndarray, pi0: float, g0: np.ndarray) -> np.ndarray:
     return info - np.outer(g0, g0) / (pi0 * (1.0 - pi0))
 
 
-def _within_information(theta, model, N: int) -> np.ndarray:
-    """Sum over sites of the within-site information blocks, weighted 1/N."""
-    blk = np.zeros((model.q, model.q))
-    for l in range(model.n):
-        blk += _information(theta, model, within_site=l) / N
-    return blk
-
-
 def _joint(f: float, pi0: float, g0: np.ndarray, block: np.ndarray) -> np.ndarray:
     """A joint (size, parameter) precision matrix of a part with escape
     factor ``f``, around its parameter block ``block``."""
@@ -189,40 +187,40 @@ def _joint(f: float, pi0: float, g0: np.ndarray, block: np.ndarray) -> np.ndarra
     return M
 
 
-def _sigma1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
+def _covered_precision(theta1, model1, n: int, N: int, joint: bool) -> np.ndarray:
+    """The frame-covered part's precision: ``sigma1`` around the full
+    outside-pattern information when ``joint``, else ``psi1`` from its
+    zero-truncated form; both add the within-site blocks, weighted 1/N."""
     check_design(model1, n, N)
     f = 1.0 - n / N
     pi0, g0 = model1.zero_prob_and_grad(theta1)
-    if f * pi0 <= 1e-12:
+    if joint and f * pi0 <= 1e-12:
         raise DegenerateDenominator(
             "the size-size entry divides by (1 - n/N) * pi0; it vanishes for a "
             f"full-frame design or a zero-mass empty pattern (got {f * pi0:.3e})"
         )
-    block = f * _information(theta1, model1) + _within_information(theta1, model1, N)
-    return _joint(f, pi0, g0, block)
+    if not joint:
+        _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
+    info = _information(theta1, model1)
+    within = np.zeros((model1.q, model1.q))
+    for l in range(model1.n):
+        within += _information(theta1, model1, within_site=l) / N
+    if joint:
+        return _joint(f, pi0, g0, f * info + within)
+    return f * _truncated(info, pi0, g0) + within
 
 
 def sigma1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
     """Joint (size, parameter) precision for the frame-covered part under
     unconditional fitting, from the between-site and within-site
     information."""
-    return _finish("sigma1", _sigma1_precision(theta1, model1, n, N))
-
-
-def _psi1_precision(theta1, model1, n: int, N: int) -> np.ndarray:
-    check_design(model1, n, N)
-    f = 1.0 - n / N
-    pi0, g0 = model1.zero_prob_and_grad(theta1)
-    _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
-    M = f * _truncated(_information(theta1, model1), pi0, g0)
-    M += _within_information(theta1, model1, N)
-    return M
+    return _finish("sigma1", _covered_precision(theta1, model1, n, N, joint=True))
 
 
 def psi1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
     """Parameter precision for the frame-covered part under conditional
     fitting: zero-truncated outside-pattern information plus within blocks."""
-    return _finish("psi1", _psi1_precision(theta1, model1, n, N))
+    return _finish("psi1", _covered_precision(theta1, model1, n, N, joint=False))
 
 
 def _sigma2_precision(theta2, model2) -> np.ndarray:
@@ -389,18 +387,9 @@ class VarianceReport:
     theta2_cov: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "source": self.source,
-            "sigma1_sq": self.sigma1_sq,
-            "sigma2_sq": self.sigma2_sq,
-            "sigma_sq": self.sigma_sq,
-            "var_tau1": self.var_tau1,
-            "var_tau2": self.var_tau2,
-            "var_tau": self.var_tau,
-            "level": self.level,
-            "intervals": {k: list(v) for k, v in self.intervals.items()},
-        }
+        out = {fld.name: getattr(self, fld.name) for fld in fields(self) if fld.repr}
+        out["intervals"] = {k: list(v) for k, v in self.intervals.items()}
+        return out
 
 
 def z_critical(level: float) -> float:
@@ -443,14 +432,11 @@ def attach_variance(report: EstimateReport, data: SampleData, model1, model2,
     n, N = data.n, data.N
     theta1, theta2 = report.theta1, report.theta2
     analytic = source == "analytic"
-    if report.method == "umle":
-        m1 = (sigma1_inverse(theta1, model1, n, N) if analytic else
-              empirical_v_covariance(data, theta1, report.tau1, model1, "sigma1"))
-    elif report.method == "cmle":
-        m1 = (psi1_inverse(theta1, model1, n, N) if analytic else
-              empirical_v_covariance(data, theta1, report.tau1, model1, "psi1"))
-    else:
+    which = {"umle": "sigma1", "cmle": "psi1"}.get(report.method)
+    if which is None:
         raise DomainError(f"unknown method {report.method!r}")
+    m1 = ((sigma1_inverse if which == "sigma1" else psi1_inverse)(theta1, model1, n, N)
+          if analytic else empirical_v_covariance(data, theta1, report.tau1, model1, which))
     s1, cov1 = _route(theta1, model1, data.covered.f, m1)
     m2 = (sigma2_inverse(theta2, model2) if analytic else
           empirical_v_covariance(data, theta2, report.tau2, model2, "sigma2"))

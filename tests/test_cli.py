@@ -197,6 +197,20 @@ def test_matrices_bad_quadrature_node_count_exits_nonzero(tmp_path, capsys):
     assert "error: malformed model spec" in capsys.readouterr().err
 
 
+def test_matrices_refuses_a_non_finite_precision_matrix(tmp_path, capsys):
+    # the zero-pattern probability underflows to ~2e-313, so sigma2's
+    # size-size entry is inf; no matrix of NaNs is written
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "homogeneous", "n": 4}))
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps([180.0] * 4))
+    out = tmp_path / "m.json"
+    err = _error_exit(["matrices", "--model", str(model), "--theta", str(theta),
+                       "--design", "4,10", "--which", "sigma2", "--out", str(out)], capsys)
+    assert "non-finite entry" in err
+    assert not out.exists()
+
+
 def _error_exit(argv, capsys):
     """Run the CLI and return its stderr, asserting the configuration-error exit."""
     assert main(argv) == 1

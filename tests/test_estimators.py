@@ -85,6 +85,15 @@ def test_maximize_without_a_bound_reaches_the_interior_maximizer():
     assert np.allclose(res.theta, [0.5, -2.0], rtol=0, atol=1e-8)
 
 
+def test_maximize_without_a_bound_is_maximize_with_every_coordinate_free():
+    fg = _quadratic(np.array([0.5, -2.0]))
+    free = estimators._maximize(fg, [0.5, 1.0])
+    bounded = estimators._maximize(fg, [0.5, 1.0], lower=np.full(2, -np.inf))
+    assert free.theta.tobytes() == bounded.theta.tobytes()
+    assert (free.value, free.iterations, free.score) == (
+        bounded.value, bounded.iterations, bounded.score)
+
+
 # ---------------------------------------------------------------------------
 # Independent grid-search oracle (two sites, homogeneous links); the pattern
 # probabilities and pmf pieces are written out from scratch here.

@@ -29,11 +29,13 @@ from snowlink.experiments import (
     csv_columns,
     render_digest,
 )
-from snowlink.patterns import sample_to_dict
+from snowlink.link_model import model_from_spec
+from snowlink.patterns import sample_from_dict, sample_to_dict
 from snowlink.simulator import (
     ConditionalMultinomial,
     PopulationConfig,
     draw_sample,
+    population_config_from_dict,
     population_config_to_dict,
     replicate_rng,
 )
@@ -144,6 +146,60 @@ def test_invalid_config_rejected():
         experiment_config_from_dict({"population": {}, "replicates": 1})
     with pytest.raises(Exception):
         _config(replicates=0)
+
+
+def _sample_obj():
+    return {"n": 2, "N": 5, "m": [3, 4], "between1": [{"pattern": "10", "count": 2}]}
+
+
+def _population_obj():
+    return population_config_to_dict(_desk_population())
+
+
+def _experiment_obj():
+    return {"population": _population_obj(), "replicates": 3}
+
+
+def _model_obj():
+    return {"family": "homogeneous", "n": 4}
+
+
+def _with(obj, path, value):
+    """``obj`` with the entry at ``path`` (a sequence of keys) set to ``value``."""
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("parse, make, path, value, name", [
+    (sample_from_dict, _sample_obj, ("between1", 0, "count"), 2.5, "between1 count"),
+    (sample_from_dict, _sample_obj, ("between1", 0, "count"), True, "between1 count"),
+    (sample_from_dict, _sample_obj, ("m",), [3.7, 4], "m"),
+    (population_config_from_dict, _population_obj, ("N",), 10.9, "N"),
+    (population_config_from_dict, _population_obj, ("tau2",), 999.9, "tau2"),
+    (experiment_config_from_dict, _experiment_obj, ("replicates",), 2.9, "replicates"),
+    (model_from_spec, _model_obj, ("n",), 4.2, "n"),
+])
+def test_integer_fields_refuse_fractions_and_booleans(parse, make, path, value, name):
+    # int() would truncate each of these to a valid integer without a word
+    with pytest.raises(ParseError, match=f"^{name} must be an integer"):
+        parse(_with(make(), path, value))
+
+
+@pytest.mark.parametrize("parse, make, path, value, view", [
+    (sample_from_dict, _sample_obj, ("between1", 0, "count"), 2.0, None),
+    (sample_from_dict, _sample_obj, ("m",), [3.0, 4.0], None),
+    (population_config_from_dict, _population_obj, ("N",), 10.0, population_config_to_dict),
+    (experiment_config_from_dict, _experiment_obj, ("replicates",), 3.0,
+     lambda config: config.replicates),
+    (model_from_spec, _model_obj, ("n",), 4.0, lambda model: model.spec()),
+])
+def test_integer_fields_accept_integral_floats(parse, make, path, value, view):
+    view = view or (lambda parsed: parsed)
+    as_int = [int(v) for v in value] if isinstance(value, list) else int(value)
+    assert view(parse(_with(make(), path, value))) == view(parse(_with(make(), path, as_int)))
 
 
 def test_repeated_method_rejected_up_front():

@@ -239,6 +239,21 @@ def test_dimension_mismatch_and_negative_spread():
         rasch.validate_theta(np.array([0.0, 0.0, -0.5]))
 
 
+@pytest.mark.parametrize("model, extra", [(HomogeneousLinkModel(3), []),
+                                          (RaschLinkModel(3, 20), [0.0])])
+def test_every_family_bounds_every_parameter(model, extra):
+    # the site logits are free (-inf); the rasch spread is bounded by 0
+    lower = model.lower_bounds
+    assert lower.dtype == np.float64 and lower.shape == (model.q,)
+    assert np.array_equal(lower, [-np.inf] * 3 + extra)
+    # a vector on or above every bound passes; -inf is refused as non-finite,
+    # never as below its bound
+    low = np.r_[np.full(3, -1e308), extra]
+    assert np.array_equal(model.validate_theta(low), low)
+    with pytest.raises(DomainError, match="^parameter vector has non-finite entries$"):
+        model.validate_theta(np.r_[-np.inf, np.zeros(model.q - 1)])
+
+
 def test_model_from_spec_round_trip():
     model = model_from_spec({"family": "rasch", "n": 3, "quadrature_nodes": 48})
     assert model.spec() == {"family": "rasch", "n": 3, "quadrature_nodes": 48}

@@ -311,6 +311,26 @@ def test_extreme_logits_raise_as_under_enumeration(v, expected):
             build()
 
 
+def test_a_non_finite_precision_matrix_is_refused():
+    # pi0 is about 2e-313 here, so sigma2's size-size entry (1 - pi0)/pi0 is
+    # inf: the builder refuses it before eigh, which would return NaNs, and
+    # the scalar raises the same error, without a RuntimeWarning on the way
+    model = HomogeneousLinkModel(4)
+    theta = np.full(4, 180.0)
+    with pytest.raises(SingularMatrix, match="sigma2 precision matrix has a non-finite entry"):
+        sigma2_inverse(theta, model)
+    with pytest.raises(SingularMatrix, match="non-finite entry"):
+        sigma2_sq(theta, model)
+
+
+@pytest.mark.parametrize("M", [np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                               np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                               np.array([[np.nan]])])
+def test_guarded_inverse_lets_no_nan_through(M):
+    with pytest.raises(SingularMatrix, match="non-finite entry"):
+        _guarded_inverse(M, "M")
+
+
 def test_analytic_variances_past_the_enumeration_guard():
     from snowlink.experiments import ExperimentConfig, run_experiment
     from snowlink.simulator import ConditionalMultinomial, PopulationConfig

@@ -46,6 +46,10 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/snowlink")
+    if not (root / "__init__.py").is_file():
+        print(f"{root} holds no __init__.py: give a package directory, such as "
+              "src/snowlink", file=sys.stderr)
+        return 2
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path)

@@ -217,6 +217,9 @@ def main(argv: list[str]) -> int:
                         help="print one line per output before the summary")
     args = parser.parse_args(argv[1:])
     src = Path(args.src).resolve()
+    if not (src / "snowlink" / "__init__.py").is_file():
+        parser.error(f"{src} holds no snowlink/__init__.py: give the 'src' directory "
+                     "of a checkout, the one that holds the snowlink package")
     sys.path.insert(0, str(src))
     import snowlink as sl
 

@@ -22,10 +22,8 @@ from .errors import (
 from .estimators import (
     ComponentFit,
     EstimateReport,
-    fit_2,
-    fit_cmle_1,
+    fit_component,
     fit_total,
-    fit_umle_1,
 )
 from .experiments import (
     ExperimentConfig,
@@ -36,9 +34,8 @@ from .experiments import (
 )
 from .likelihood import (
     LogLikTerms,
-    loglik_2,
-    loglik_cond_1,
-    loglik_full_1,
+    loglik_cond,
+    loglik_full,
 )
 from .link_model import (
     HomogeneousLinkModel,
@@ -47,6 +44,7 @@ from .link_model import (
     model_from_spec,
 )
 from .patterns import (
+    Component,
     SampleData,
     enumerate_patterns,
     load_sample,

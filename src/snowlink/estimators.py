@@ -3,9 +3,11 @@
 Both parts of the population are fitted by one function,
 :func:`fit_component`, on a :class:`~snowlink.patterns.Component` view: the
 frame-uncovered part is the frame-covered one with no sites and escape
-factor ``f = 1``.  :func:`fit_total` fits the two parts of a sample with one
-method.  The only fit setting is the start: ``theta0`` for one part, or a
-``(theta1, theta2)`` pair for :func:`fit_total`.
+factor ``f = 1``, so a caller passes ``data.covered`` or ``data.uncovered`` of
+a :class:`~snowlink.patterns.SampleData`.  :func:`fit_total` fits the two
+parts of a sample with one method.  The only fit setting is the start:
+``theta0`` for one part, or a ``(theta1, theta2)`` pair for
+:func:`fit_total`.
 
 The conditional route maximizes the size-free likelihood in the link
 parameters first and then recovers the size estimate from the closed-form
@@ -50,9 +52,12 @@ from .errors import (
     Unidentifiable,
 )
 from .likelihood import loglik_cond, loglik_full
-# not called here: mcbench/tracing.py rebinds these per-part names on this module
-from .likelihood import loglik_2, loglik_cond_1, loglik_full_1  # noqa: F401
 from .patterns import Component, SampleData
+
+# Placeholders, never called: mcbench/tracing.py looks these retired per-part
+# names up on this module when it installs.  ROADMAP item 1's tracer repair
+# deletes this line.
+fit_cmle_1 = fit_umle_1 = fit_2 = loglik_cond_1 = loglik_full_1 = loglik_2 = None
 
 
 #: Convergence: the projected score's infinity norm at most this.
@@ -190,15 +195,12 @@ class _OptResult:
         return self.score <= SCORE_TOL
 
 
-def _maximize(fg, theta0, lower=None) -> _OptResult:
+def _maximize(fg, theta0, lower) -> _OptResult:
     """Damped Newton ascent with backtracking; convergence is a projected
     score norm at most :data:`SCORE_TOL` within :data:`MAX_ITER`
     iterations.  ``lower`` bounds ``theta`` from below, ``-inf`` where a
-    coordinate is free; ``None`` leaves every coordinate free."""
-    theta = np.asarray(theta0, dtype=float)
-    if lower is None:
-        lower = np.full(len(theta), -np.inf)
-    theta = np.maximum(theta, lower)
+    coordinate is free."""
+    theta = np.maximum(np.asarray(theta0, dtype=float), lower)
     value, grad = fg(theta)
     score = _score_norm(grad, theta, lower)
     it = 0
@@ -402,24 +404,6 @@ def fit_component(comp: Component, model, method: str, theta0=None) -> Component
     return ComponentFit(theta=theta, tau_real=tau_real, tau=tau,
                         iterations=iterations + iters, sweeps=sweeps,
                         grad_norm=score_norm, converged=True)
-
-
-# Per-part entry points: kept for callers of the per-part API, and because
-# mcbench/tracing.py rebinds these names on this module.
-
-def fit_cmle_1(data: SampleData, model1, theta0=None) -> ComponentFit:
-    """:func:`fit_component` with ``cmle`` on the frame-covered part."""
-    return fit_component(data.covered, model1, "cmle", theta0)
-
-
-def fit_umle_1(data: SampleData, model1, theta0=None) -> ComponentFit:
-    """:func:`fit_component` with ``umle`` on the frame-covered part."""
-    return fit_component(data.covered, model1, "umle", theta0)
-
-
-def fit_2(data: SampleData, model2, method: str, theta0=None) -> ComponentFit:
-    """:func:`fit_component` on the frame-uncovered part."""
-    return fit_component(data.uncovered, model2, method, theta0)
 
 
 def fit_total(data: SampleData, model1, model2, method: str,

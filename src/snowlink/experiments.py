@@ -65,6 +65,8 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for name in ("replicates", "master_seed", "parallelism"):
+            setattr(self, name, _parse_int(getattr(self, name), name, InvariantViolation))
         if self.replicates < 1:
             raise InvariantViolation(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.level < 1.0:

@@ -5,8 +5,8 @@ frame-uncovered part is the frame-covered one with no sites and escape factor
 ``f = 1``, so each likelihood is written once: :func:`loglik_full` in the size
 and the parameters, and :func:`loglik_cond`, the size-free zero-truncated
 multinomial over the outside-linked people times the within-site tables.
-``loglik_full_1``, ``loglik_cond_1`` and ``loglik_2`` apply them to one part
-of a :class:`~snowlink.patterns.SampleData`.
+A caller passes the part it means, ``data.covered`` or ``data.uncovered`` of a
+:class:`~snowlink.patterns.SampleData`.
 
 Every counted person, outside-linked or in a sampled site (a site's unlinked
 people are the pattern-0 row of its table), enters both likelihoods through
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteLikelihood, Unidentifiable
-from .patterns import Component, SampleData
+from .patterns import Component
 
 #: Probabilities below this are treated as an underflow, not a valid value.
 PI_FLOOR = 1e-300
@@ -128,21 +128,3 @@ def loglik_cond(comp: Component, theta, model) -> LogLikTerms:
     grad += (comp.r / (1.0 - p0)) * g0
     return LogLikTerms(value=value, grad_theta=grad)
 
-
-def loglik_full_1(data: SampleData, tau1: float, theta1, model1) -> LogLikTerms:
-    """:func:`loglik_full` for the frame-covered part."""
-    return loglik_full(data.covered, tau1, theta1, model1)
-
-
-def loglik_cond_1(data: SampleData, theta1, model1) -> LogLikTerms:
-    """:func:`loglik_cond` for the frame-covered part."""
-    return loglik_cond(data.covered, theta1, model1)
-
-
-def loglik_2(data: SampleData, tau2: float, theta2, model2,
-             conditional: bool = False) -> LogLikTerms:
-    """:func:`loglik_cond` (``conditional=True``, ``tau2`` unused) or
-    :func:`loglik_full` for the frame-uncovered part."""
-    if conditional:
-        return loglik_cond(data.uncovered, theta2, model2)
-    return loglik_full(data.uncovered, tau2, theta2, model2)

@@ -89,22 +89,27 @@ def pattern_from_string(s: str, n: int) -> int:
     return sum(1 << i for i, c in enumerate(s) if c == "1")
 
 
-def _parse_int(value, name: str) -> int:
-    """An integer field of an input file, by ``int``.  A bool, or a number
-    with a fractional part, is refused rather than truncated; ``4.0`` is 4.
-    What ``int`` itself refuses raises its own error, for the caller's
-    handler."""
+def _parse_int(value, name: str, error=ParseError) -> int:
+    """An integer field, by ``int``: ``ParseError`` for an input file's,
+    ``InvariantViolation`` for a constructor's.  A bool, a number with a
+    fractional part, or a value at or above 2**63 (past numpy's ``int64``)
+    raises ``error`` naming the field rather than being truncated or failing
+    later; ``4.0`` and numpy integers are read.  What ``int`` itself refuses
+    raises its own error, for the caller's handler."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ParseError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        raise error(f"{name} must be an integer, got {value!r}")
+    out = int(value)
+    if out >= 2**63:
+        raise error(f"{name} must be below 2**63, got {value!r}")
+    return out
 
 
 def _validate_count_map(counts: Mapping[int, int], n: int, label: str,
                         excluded_site: int | None = None) -> dict[int, int]:
     out: dict[int, int] = {}
     for x, c in counts.items():
-        x = int(x)
-        c = int(c)
+        x = _parse_int(x, f"{label} pattern", InvariantViolation)
+        c = _parse_int(c, f"{label} count", InvariantViolation)
         if not 0 < x < (1 << n):
             if x == 0:
                 raise InvariantViolation(
@@ -200,12 +205,14 @@ class SampleData:
     between2: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n", "N"):
+            object.__setattr__(self, name, _parse_int(getattr(self, name), name, InvariantViolation))
         if not 1 <= self.n <= self.N:
             raise InvariantViolation(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.n > MAX_SITES:
             raise InvariantViolation(
                 f"a pattern bitmask holds at most {MAX_SITES} sites, got n={self.n}")
-        m = tuple(int(v) for v in self.m)
+        m = tuple(_parse_int(v, "m", InvariantViolation) for v in self.m)
         if len(m) != self.n:
             raise InvariantViolation(f"m has length {len(m)}, expected n={self.n}")
         if any(v < 0 for v in m):

@@ -34,8 +34,8 @@ class PoissonMean:
     mean: float
 
     def __post_init__(self):
-        if not self.mean > 0:
-            raise InvariantViolation(f"Poisson mean must be > 0, got {self.mean}")
+        if not 0 < self.mean < np.inf:
+            raise InvariantViolation(f"Poisson mean must be finite and > 0, got {self.mean}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class ConditionalMultinomial:
     tau1: int
 
     def __post_init__(self):
+        object.__setattr__(self, "tau1", _parse_int(self.tau1, "tau1", InvariantViolation))
         if self.tau1 < 0:
             raise InvariantViolation(f"covered size must be >= 0, got {self.tau1}")
 
@@ -66,6 +67,8 @@ class PopulationConfig:
     theta2: np.ndarray
 
     def __post_init__(self):
+        for name in ("N", "n", "tau2"):
+            setattr(self, name, _parse_int(getattr(self, name), name, InvariantViolation))
         if not 1 <= self.n <= self.N:
             raise InvariantViolation(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.tau2 < 0:

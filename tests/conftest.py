@@ -217,7 +217,7 @@ class FlatZeroPatternModel:
 
     family = "flat_zero"
     # what the estimators read from a model: no bounded parameter
-    lower_bounds = None
+    lower_bounds = np.full(1, -np.inf)
 
     def __init__(self, n, zero_mass=0.4):
         self.n = n

@@ -16,12 +16,9 @@ from snowlink import (
     HomogeneousLinkModel,
     RaschLinkModel,
     enumerate_patterns,
-    fit_2,
-    fit_cmle_1,
-    fit_umle_1,
-    loglik_2,
-    loglik_cond_1,
-    loglik_full_1,
+    fit_component,
+    loglik_cond,
+    loglik_full,
     psi1_inverse,
     run_experiment,
     sigma1_inverse,
@@ -183,11 +180,11 @@ def test_a5_gradient_checks():
         tau1 = data.m_total + data.r1 + float(rng.uniform(0, 25))
         tau2 = data.r2 + float(rng.uniform(0, 15))
         for fun in (
-            lambda th: loglik_full_1(data, tau1, th, model),
-            lambda th: loglik_cond_1(data, th, model),
+            lambda th: loglik_full(data.covered, tau1, th, model),
+            lambda th: loglik_cond(data.covered, th, model),
             lambda th: loglik_binom_12(data, tau1, th, model),
-            lambda th: loglik_2(data, tau2, th, model),
-            lambda th: loglik_2(data, tau2, th, model, conditional=True),
+            lambda th: loglik_full(data.uncovered, tau2, th, model),
+            lambda th: loglik_cond(data.uncovered, th, model),
         ):
             grad = fun(theta).grad_theta
             fd = fd_gradient(lambda th: fun(th).value, theta)
@@ -287,7 +284,7 @@ def test_a9_solver_grid_oracle():
                     + _n2_within_value(data, p1, p2))
 
         g = np.array(_grid_maximize(cond_obj))
-        fit = fit_cmle_1(data, model)
+        fit = fit_component(data.covered, model, "cmle")
         assert np.max(np.abs(fit.theta - logit(g))) <= 1e-3
         p_hat = expit(fit.theta)
         assert fit.tau in _integer_size_profile_argmax(
@@ -309,7 +306,7 @@ def test_a9_solver_grid_oracle():
             return tau_part + between + _n2_within_value(data, p1, p2)
 
         g = np.array(_grid_maximize(joint_obj))
-        fit = fit_umle_1(data, model)
+        fit = fit_component(data.covered, model, "umle")
         assert np.max(np.abs(fit.theta - logit(g))) <= 1e-3
         p_hat = expit(fit.theta)
         profile = size_const + (taus - m - r1) * np.log((1 - p_hat[0]) * (1 - p_hat[1]))
@@ -320,7 +317,7 @@ def test_a9_solver_grid_oracle():
             return _n2_conditional_value(data, p1, p2, data.between2)
 
         g = np.array(_grid_maximize(cond2_obj))
-        fit = fit_2(data, model, "cmle")
+        fit = fit_component(data.uncovered, model, "cmle")
         assert np.max(np.abs(fit.theta - logit(g))) <= 1e-3
         p_hat = expit(fit.theta)
         assert fit.tau in _integer_size_profile_argmax(

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,23 @@ def test_experiment_negative_master_seed_exits_nonzero(tmp_path, population_file
     err = _error_exit(["experiment", "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "results")], capsys)
     assert "master_seed must be >= 0" in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("cluster_mode, message", [
+    ({"type": "poisson_mean", "lambda1": "inf"}, "Poisson mean must be finite"),
+    ({"type": "conditional_multinomial", "tau1": 10**20}, r"tau1 must be below 2\*\*63"),
+])
+def test_experiment_cluster_size_numpy_cannot_draw_exits_nonzero(tmp_path, population_file,
+                                                                 capsys, cluster_mode,
+                                                                 message):
+    population = json.loads(population_file.read_text())
+    population["cluster_mode"] = cluster_mode
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({"population": population, "replicates": 1}))
+    err = _error_exit(["experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "results")], capsys)
+    assert re.search(message, err)
     assert not (tmp_path / "results").exists()
 
 

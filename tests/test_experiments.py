@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from snowlink import (
     HomogeneousLinkModel,
     InvariantViolation,
     ParseError,
+    SampleData,
     SingularMatrix,
     emit_reports,
     experiment_config_from_dict,
@@ -33,6 +35,7 @@ from snowlink.link_model import model_from_spec
 from snowlink.patterns import sample_from_dict, sample_to_dict
 from snowlink.simulator import (
     ConditionalMultinomial,
+    PoissonMean,
     PopulationConfig,
     draw_sample,
     population_config_from_dict,
@@ -200,6 +203,65 @@ def test_integer_fields_accept_integral_floats(parse, make, path, value, view):
     view = view or (lambda parsed: parsed)
     as_int = [int(v) for v in value] if isinstance(value, list) else int(value)
     assert view(parse(_with(make(), path, value))) == view(parse(_with(make(), path, as_int)))
+
+
+def _population_with(**fields):
+    return dataclasses.replace(_desk_population(), **fields)
+
+
+_INTEGER_FIELDS = [
+    pytest.param(lambda v: SampleData(n=v, N=5, m=(3, 4)), "n", id="SampleData.n"),
+    pytest.param(lambda v: SampleData(n=2, N=v, m=(3, 4)), "N", id="SampleData.N"),
+    pytest.param(lambda v: SampleData(n=2, N=5, m=(v, 4)), "m", id="SampleData.m"),
+    pytest.param(lambda v: SampleData(n=2, N=5, m=(3, 4), between1={1: v}),
+                 "between1 count", id="SampleData.between1"),
+    pytest.param(lambda v: SampleData(n=2, N=5, m=(3, 4), between2={v: 1}),
+                 "between2 pattern", id="SampleData.between2"),
+    pytest.param(lambda v: SampleData(n=2, N=5, m=(3, 4), within=({2: v}, {})),
+                 r"within\[0\] count", id="SampleData.within"),
+    pytest.param(lambda v: ConditionalMultinomial(v), "tau1",
+                 id="ConditionalMultinomial.tau1"),
+    pytest.param(lambda v: _population_with(N=v), "N", id="PopulationConfig.N"),
+    pytest.param(lambda v: _population_with(n=v), "n", id="PopulationConfig.n"),
+    pytest.param(lambda v: _population_with(tau2=v), "tau2", id="PopulationConfig.tau2"),
+    pytest.param(lambda v: ExperimentConfig(population=_desk_population(), replicates=v),
+                 "replicates", id="ExperimentConfig.replicates"),
+    pytest.param(lambda v: ExperimentConfig(population=_desk_population(), replicates=1,
+                                            master_seed=v),
+                 "master_seed", id="ExperimentConfig.master_seed"),
+    pytest.param(lambda v: ExperimentConfig(population=_desk_population(), replicates=1,
+                                            parallelism=v),
+                 "parallelism", id="ExperimentConfig.parallelism"),
+]
+
+
+@pytest.mark.parametrize("build, name", _INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.5, True, 2**63], ids=["fraction", "bool", "2**63"])
+def test_constructors_refuse_what_int_would_truncate_or_numpy_overflow(build, name, value):
+    # int() would truncate 2.5 and True to a valid integer, and 2**63 fails
+    # in numpy at draw time, outside a replicate's error handling
+    with pytest.raises(InvariantViolation, match=f"^{name} must be"):
+        build(value)
+
+
+def test_constructors_read_integral_floats_and_numpy_integers():
+    data = SampleData(n=np.int64(2), N=5.0, m=(np.int32(3), 4.0),
+                      between1={np.int64(1): 2.0}, within=({2: np.int64(1)}, {}))
+    assert data == SampleData(n=2, N=5, m=(3, 4), between1={1: 2}, within=({2: 1}, {}))
+    assert type(data.n) is type(data.N) is type(data.m[0]) is int
+    config = _population_with(N=10.0, n=np.int64(4), tau2=1000.0,
+                              cluster_mode=ConditionalMultinomial(np.int64(2000)))
+    assert (config.N, config.n, config.tau2, config.cluster_mode.tau1) == (10, 4, 1000, 2000)
+    assert all(type(v) is int for v in (config.N, config.n, config.tau2))
+    experiment = ExperimentConfig(population=config, replicates=3.0,
+                                  master_seed=np.uint8(7), parallelism=1.0)
+    assert (experiment.replicates, experiment.master_seed, experiment.parallelism) == (3, 7, 1)
+    assert type(experiment.master_seed) is int
+
+
+def test_poisson_mean_refuses_an_infinite_mean():
+    with pytest.raises(InvariantViolation, match="finite"):
+        PoissonMean(float("inf"))
 
 
 def test_repeated_method_rejected_up_front():

@@ -10,11 +10,10 @@ from snowlink import (
     RaschLinkModel,
     SampleData,
     Unidentifiable,
-    loglik_2,
-    loglik_cond_1,
-    loglik_full_1,
+    loglik_cond,
+    loglik_full,
 )
-from snowlink.likelihood import PI_FLOOR, _require_positive, loglik_cond, loglik_full
+from snowlink.likelihood import PI_FLOOR, _require_positive
 
 from conftest import (
     fd_gradient,
@@ -32,9 +31,9 @@ def test_full_frame_design_pins_the_size():
     data = SampleData(n=2, N=2, m=(3, 4), within=({2: 1}, {1: 2}))
     model = HomogeneousLinkModel(2)
     theta = np.zeros(2)
-    at_bound = loglik_full_1(data, data.m_total + data.r1, theta, model)
+    at_bound = loglik_full(data.covered, data.m_total + data.r1, theta, model)
     assert np.isfinite(at_bound.value)
-    above = loglik_full_1(data, data.m_total + data.r1 + 1, theta, model)
+    above = loglik_full(data.covered, data.m_total + data.r1 + 1, theta, model)
     assert above.value == -np.inf
 
 
@@ -43,7 +42,7 @@ def test_zero_links_value_and_gradient_by_hand():
     data = SampleData(n=2, N=5, m=(3, 4))
     model = HomogeneousLinkModel(2)
     theta = np.full(2, logit(0.3))
-    terms = loglik_full_1(data, data.m_total, theta, model)
+    terms = loglik_full(data.covered, data.m_total, theta, model)
     m = data.m_total
     # the log-gamma size factor is the only surviving constant; each of the
     # m people contributes one within factor 1 - 0.3 for the other site
@@ -56,14 +55,14 @@ def test_tau_below_observed_is_domain_error():
     data = random_sample_data(np.random.default_rng(0))
     model = HomogeneousLinkModel(data.n)
     with pytest.raises(DomainError):
-        loglik_full_1(data, data.m_total + data.r1 - 1, np.zeros(data.n), model)
+        loglik_full(data.covered, data.m_total + data.r1 - 1, np.zeros(data.n), model)
 
 
 def test_conditional_single_cell_is_flat():
     data = SampleData(n=1, N=4, m=(5,), between1={1: 7})
     model = HomogeneousLinkModel(1)
     for eta in (-0.3, 0.0, 1.2):
-        terms = loglik_cond_1(data, np.array([eta]), model)
+        terms = loglik_cond(data.covered, np.array([eta]), model)
         assert terms.value == pytest.approx(0.0, abs=1e-12)
         assert terms.grad_theta[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -71,7 +70,7 @@ def test_conditional_single_cell_is_flat():
 def test_conditional_unidentifiable_without_any_links():
     data = SampleData(n=2, N=5, m=(3, 4))
     with pytest.raises(Unidentifiable):
-        loglik_cond_1(data, np.zeros(2), HomogeneousLinkModel(2))
+        loglik_cond(data.covered, np.zeros(2), HomogeneousLinkModel(2))
 
 
 def test_binomial_escape_no_links():
@@ -98,10 +97,10 @@ def test_uncovered_no_observations():
     data = SampleData(n=2, N=5, m=(1, 1))
     model = HomogeneousLinkModel(2)
     theta = np.full(2, logit(0.3))
-    terms = loglik_2(data, 11.0, theta, model)
+    terms = loglik_full(data.uncovered, 11.0, theta, model)
     assert terms.value == pytest.approx(11.0 * np.log(0.49), rel=1e-12)
     with pytest.raises(Unidentifiable):
-        loglik_2(data, 11.0, theta, model, conditional=True)
+        loglik_cond(data.uncovered, theta, model)
 
 
 def test_factorization_identity_on_random_instances(rng):
@@ -112,11 +111,11 @@ def test_factorization_identity_on_random_instances(rng):
         model, theta = random_model(rng, data.n, quadrature_nodes=30)
         base = data.m_total + data.r1
         for tau1 in (float(base), base + 3.7, base + 41.0):
-            full = loglik_full_1(data, tau1, theta, model).value
+            full = loglik_full(data.covered, tau1, theta, model).value
             parts = (
                 multinomial_cluster_loglik(tau1, data.m_total, data.n, data.N)
                 + loglik_binom_12(data, tau1, theta, model).value
-                + loglik_cond_1(data, theta, model).value
+                + loglik_cond(data.covered, theta, model).value
             )
             assert full == pytest.approx(parts, abs=1e-9)
 
@@ -129,11 +128,11 @@ def test_gradients_match_finite_differences(rng):
         tau1 = data.m_total + data.r1 + float(rng.uniform(0, 30))
         tau2 = data.r2 + float(rng.uniform(0, 20))
         cases = [
-            lambda th: loglik_full_1(data, tau1, th, model),
-            lambda th: loglik_cond_1(data, th, model),
+            lambda th: loglik_full(data.covered, tau1, th, model),
+            lambda th: loglik_cond(data.covered, th, model),
             lambda th: loglik_binom_12(data, tau1, th, model),
-            lambda th: loglik_2(data, tau2, th, model),
-            lambda th: loglik_2(data, tau2, th, model, conditional=True),
+            lambda th: loglik_full(data.uncovered, tau2, th, model),
+            lambda th: loglik_cond(data.uncovered, th, model),
         ]
         for fun in cases:
             grad = fun(theta).grad_theta
@@ -171,7 +170,7 @@ def test_underflow_raises_instead_of_clamping():
     model = HomogeneousLinkModel(2)
     theta = np.array([-800.0, -800.0])  # link probabilities underflow to 0
     with pytest.raises(NonFiniteLikelihood):
-        loglik_cond_1(data, theta, model)
+        loglik_cond(data.covered, theta, model)
 
 
 def _both_families(n):

@@ -405,7 +405,7 @@ def test_uncovered_variance_vanishes_when_everyone_observed():
 def test_monte_carlo_variance_oracle():
     # empirical variance of the normalized size error against the analytic
     # values, for both routes
-    from snowlink import fit_cmle_1, fit_umle_1
+    from snowlink import fit_component
     from snowlink.simulator import (ConditionalMultinomial, PopulationConfig,
                                     draw_sample, replicate_rng)
 
@@ -418,10 +418,11 @@ def test_monte_carlo_variance_oracle():
     errs_u, errs_c = [], []
     for i in range(2000):
         data, truth = draw_sample(config, replicate_rng(1234, i))
-        fit_c = fit_cmle_1(data, model)
+        fit_c = fit_component(data.covered, model, "cmle")
         errs_c.append((fit_c.tau - tau1) / np.sqrt(tau1))
         # umle starts from the conditional fit, as it does without a start
-        errs_u.append((fit_umle_1(data, model, fit_c.theta).tau - tau1) / np.sqrt(tau1))
+        fit_u = fit_component(data.covered, model, "umle", fit_c.theta)
+        errs_u.append((fit_u.tau - tau1) / np.sqrt(tau1))
     var_u_emp = np.var(errs_u, ddof=1)
     var_c_emp = np.var(errs_c, ddof=1)
     su = sigma1_sq_umle(theta_true, model, n, N)

@@ -7,7 +7,11 @@ master seed (``seed * ROUND_SEED_STRIDE + r``, as the benchmark does), in
 the order A, B on even rounds and B, A on odd ones.  Each round is one
 ``run_experiment`` plus ``emit_reports`` call, timed in CPU time like the
 benchmark's rounds, with a clock around each ``fit_total`` plus
-``attach_variance`` pair as the per-method estimate time.
+``attach_variance`` pair as the per-method estimate time.  After each
+round, both trees run that round's replicates once more, one replicate at
+a time: ``experiments._replicate_rows`` of A and of B back to back for each
+replicate index, A first on even indices and B first on odd ones, each
+timed in CPU time.
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_time.py A_SRC B_SRC \\
         [--workload desk-homog] [--rounds 24] [--seed 1]
@@ -19,11 +23,14 @@ and parses the workload config, as the benchmark's ``setup_s`` counts it, in
 ``COLD_START_PAIRS`` alternating pairs.  It then prints, per round, the
 replicate rates of both trees, and at the end the median and quartiles over
 pairs of the paired ratios: A/B for the cold start, B/A for the replicate
-rate, and A/B for each method's median estimate time, so a ratio above 1
-means B is faster.  Separate benchmark runs of identical code on a
-small shared host can differ by far more than a code change does; a pair of
-rounds shares the host's state of the moment, so the paired ratios resolve
-much smaller differences.  Reports go to a temporary directory only.
+rate, A/B for each method's median estimate time, and A/B for each
+replicate's CPU time, so a ratio above 1 means B is faster; the last column
+counts the pairs in which B was faster.  Separate benchmark runs of
+identical code on a small shared host can differ by far more than a code
+change does; a pair of rounds shares the host's state of the moment, so the
+paired ratios resolve much smaller differences, and a pair of replicates,
+a tenth of a round, shares it more closely still.  Reports go to a
+temporary directory only.
 """
 
 from __future__ import annotations
@@ -103,8 +110,17 @@ class Side:
 
         exp.fit_total, exp.attach_variance = fit_total, attach_variance
 
+    def round_config(self, r: int):
+        return replace(self.config, master_seed=self.config.master_seed + r)
+
+    def replicate_cpu_s(self, r: int, index: int) -> float:
+        """CPU seconds of replicate ``index`` of round ``r``, alone."""
+        cpu0 = time.process_time()
+        self.pkg.experiments._replicate_rows(self.round_config(r), index)
+        return time.process_time() - cpu0
+
     def run_round(self, r: int, out_dir: Path, keep: bool = True):
-        cfg = replace(self.config, master_seed=self.config.master_seed + r)
+        cfg = self.round_config(r)
         self._times.clear()
         cpu0 = time.process_time()
         summary = self.pkg.run_experiment(cfg)
@@ -163,6 +179,7 @@ def main(argv=None) -> int:
     sides = (Side("a", srcs[0], config_dict), Side("b", srcs[1], config_dict))
     print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds of "
           f"{config_dict['replicates']} replicates")
+    replicate_ratios = []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for side in sides:  # one untimed round each: imports and first-call costs
@@ -170,6 +187,11 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             for side in sides if r % 2 == 0 else sides[::-1]:
                 side.run_round(r, out)
+            for index in range(config_dict["replicates"]):
+                cpu = {}
+                for side in sides if index % 2 == 0 else sides[::-1]:
+                    cpu[side.label] = side.replicate_cpu_s(r, index)
+                replicate_ratios.append(cpu["a"] / cpu["b"])
             a, b = sides
             print(f"round {r:3d}  replicates/s  A {a.rates[-1]:8.3f}  B {b.rates[-1]:8.3f}"
                   f"  B/A {b.rates[-1] / a.rates[-1]:.3f}", flush=True)
@@ -180,6 +202,7 @@ def main(argv=None) -> int:
     for method in sorted(a.estimate_s):
         rows.append((f"{method} estimate s p50 (A/B)",
                      [x / y for x, y in zip(a.estimate_s[method], b.estimate_s[method])]))
+    rows.append(("replicate CPU s (A/B)", replicate_ratios))
     print(f"{'paired ratio':<30} {'q1':>7} {'median':>7} {'q3':>7} {'B better':>9}")
     for name, ratios in rows:
         q1, q2, q3 = _quartiles(ratios)

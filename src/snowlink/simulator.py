@@ -27,6 +27,11 @@ from .link_model import model_from_spec
 from .patterns import SampleData, _parse_int
 
 
+#: The largest mean numpy's ``Generator.poisson`` draws from; it refuses a
+#: larger one with a ``ValueError``.
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 @dataclass(frozen=True)
 class PoissonMean:
     """Independent Poisson site sizes with a common mean."""
@@ -34,8 +39,9 @@ class PoissonMean:
     mean: float
 
     def __post_init__(self):
-        if not 0 < self.mean < np.inf:
-            raise InvariantViolation(f"Poisson mean must be finite and > 0, got {self.mean}")
+        if not 0 < self.mean <= POISSON_MEAN_MAX:
+            raise InvariantViolation(
+                f"Poisson mean must be finite and in (0, {POISSON_MEAN_MAX:.6g}], got {self.mean}")
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ The size variance is then ``fac (pi0 + fac g0^T C g0)`` with
 ``fac = f / (1 - f pi0)`` for both routes and both parts.
 
 Their parameter blocks are sums of ``grad grad^T / prob`` over a pattern
-space, all taken by :func:`_information`.  For the homogeneous family that
-sum is the closed form ``diag(p (1 - p))``, so any site count works; other
-families enumerate the ``2**n`` patterns, which the enumeration guard limits
-to ``n <= 20``.  The truncated information of ``psi1`` follows from the full
-one, ``I - g0 g0^T / (pi0 (1 - pi0))``.
+space, each one scope's :meth:`~snowlink.link_model.MixtureLinkModel.information`,
+which the model computes from the laws of the link total without
+enumerating a pattern.  So this module names no family, and every family's
+analytic variances work at any site count.  The truncated information of
+``psi1`` follows from the full one, ``I - g0 g0^T / (pi0 (1 - pi0))``.
 
 Scalar variances refer to the normalized errors ``(tau_hat - tau)/sqrt(tau)``;
 the variance of the point estimate itself is ``tau_hat * sigma_sq``, which is
@@ -77,8 +77,9 @@ from .errors import (
     SingularMatrix,
 )
 from .estimators import EstimateReport
-from .link_model import HomogeneousLinkModel, expit, log_expit
-from .patterns import SampleData, check_design, enumerate_patterns
+# enumerate_patterns is never called here: mcbench/tracing.py rebinds the name
+# on this module when it installs.  ROADMAP item 1's tracer repair drops it.
+from .patterns import SampleData, check_design, enumerate_patterns  # noqa: F401
 
 CONDITION_LIMIT = 1e12
 
@@ -140,36 +141,6 @@ def _positive(probs, what):
         raise NonFiniteLikelihood(f"{what} vanished")
 
 
-def _information(theta, model, within_site=None) -> np.ndarray:
-    """The per-pattern information sum over a pattern space: over all ``2**n``
-    between-site patterns, or over site ``within_site``'s within-site space.
-
-    For the homogeneous family the patterns are ``n`` independent Bernoulli
-    links, so the sum is ``diag(p (1 - p))`` with ``p = expit(theta)``, and
-    entry ``within_site`` is zero because that site's factor is skipped.
-    Every other family enumerates the space.  Either way a pattern whose
-    probability underflows is an error.
-    """
-    if within_site is None:
-        what = "a pattern probability"
-    else:
-        what = f"a within-site pattern probability (site {within_site})"
-    if isinstance(model, HomogeneousLinkModel):
-        theta = model.validate_theta(theta)
-        active = np.ones(model.n, dtype=bool)
-        if within_site is not None:
-            active[within_site] = False
-        # the least likely pattern takes the less likely outcome at every site
-        least = np.exp(log_expit(-np.abs(theta[active])).sum())
-        _positive(least, what)
-        p = expit(theta)
-        return np.diag(np.where(active, p * (1.0 - p), 0.0))
-    pats = enumerate_patterns(model.n, excluded_site=within_site)
-    probs, grads = model.probs_and_grads(theta, pats, within_site=within_site)
-    _positive(probs, what)
-    return (grads.T / probs) @ grads
-
-
 def _truncated(info: np.ndarray, pi0: float, g0: np.ndarray) -> np.ndarray:
     """The information of a zero-truncated pattern draw, from the information
     ``info`` of the full draw: ``info - g0 g0^T / (pi0 (1 - pi0))``."""
@@ -201,10 +172,9 @@ def _covered_precision(theta1, model1, n: int, N: int, joint: bool) -> np.ndarra
         )
     if not joint:
         _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
-    info = _information(theta1, model1)
-    within = np.zeros((model1.q, model1.q))
-    for l in range(model1.n):
-        within += _information(theta1, model1, within_site=l) / N
+    info = model1.information(theta1)
+    # summed site by site in order, which keeps the outputs' bits
+    within = sum(model1.information(theta1, within_site=l) / N for l in range(model1.n))
     if joint:
         return _joint(f, pi0, g0, f * info + within)
     return f * _truncated(info, pi0, g0) + within
@@ -226,7 +196,7 @@ def psi1_inverse(theta1, model1, n: int, N: int) -> AsymptoticMatrices:
 def _sigma2_precision(theta2, model2) -> np.ndarray:
     pi0, g0 = model2.zero_prob_and_grad(theta2)
     _positive(np.array([pi0, 1.0 - pi0]), "the zero-pattern or escape probability")
-    return _joint(1.0, pi0, g0, _information(theta2, model2))
+    return _joint(1.0, pi0, g0, model2.information(theta2))
 
 
 def sigma2_inverse(theta2, model2) -> AsymptoticMatrices:

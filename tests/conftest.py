@@ -13,7 +13,9 @@ and rewrite only the kernel's arithmetic; the trapezoid oracle uses scipy's
 frame-covered likelihood live here too, as the references for the
 factorization ``full = cluster + conditional + binomial-escape``, and so does
 the likelihood with each site's unlinked people in a kernel call of their
-own, the reference for the one counted sum over the tables.
+own, the reference for the one counted sum over the tables, and the
+information of a pattern draw as a sum over its enumerated patterns, the
+reference for the model's link-total information.
 """
 
 import numpy as np
@@ -206,6 +208,15 @@ def rasch_zero_prob_and_grad_loop(model, theta):
     return p0, grad
 
 
+def enumerated_information(theta, model, within_site=None):
+    """The information of one scope's pattern draw as the sum of ``grad
+    grad^T / prob`` over its enumerated pattern space: the reference for
+    ``MixtureLinkModel.information``."""
+    pats = enumerate_patterns(model.n, excluded_site=within_site)
+    probs, grads = model.probs_and_grads(theta, pats, within_site=within_site)
+    return (grads.T / probs) @ grads
+
+
 class FlatZeroPatternModel:
     """One-parameter family whose all-zero pattern mass is constant.
 
@@ -256,6 +267,9 @@ class FlatZeroPatternModel:
     def zero_prob_and_grad(self, theta):
         self.validate_theta(np.atleast_1d(theta))
         return self.zero_mass, np.zeros(1)
+
+    def information(self, theta, within_site=None):
+        return enumerated_information(theta, self, within_site)
 
 
 def random_model(rng, n, allow_rasch=True, quadrature_nodes=60):

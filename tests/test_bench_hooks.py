@@ -87,8 +87,8 @@ def test_tracer_installs_records_and_restores(monkeypatch):
 @pytest.mark.parametrize("family", ["homogeneous", "rasch"])
 def test_tracer_counts_each_precision_build_and_enumerated_pattern(monkeypatch,
                                                                    family, method):
-    # attach_variance must reach the precision builders and the pattern
-    # enumeration through the module globals the tracer rebinds
+    # attach_variance must reach the precision builders through the module
+    # globals the tracer rebinds
     monkeypatch.syspath_prepend(str(MCBENCH))
     from tracing import Tracer
 
@@ -103,10 +103,8 @@ def test_tracer_counts_each_precision_build_and_enumerated_pattern(monkeypatch,
     finally:
         tracer.uninstall()
     assert tracer.counts["variance.precision.calls"] == 2
-    # between-site spaces of both parts, and each site's within-site space;
-    # the homogeneous family sums its information in closed form
-    expected = 2 * 2**n + n * 2**(n - 1) if family == "rasch" else 0
-    assert tracer.counts["patterns.enumerated"] == expected
+    # every family's information comes from link totals, not from patterns
+    assert tracer.counts["patterns.enumerated"] == 0
 
 
 def test_estimate_clock_times_each_method_and_restores(monkeypatch):

@@ -241,6 +241,7 @@ def test_experiment_negative_master_seed_exits_nonzero(tmp_path, population_file
 
 @pytest.mark.parametrize("cluster_mode, message", [
     ({"type": "poisson_mean", "lambda1": "inf"}, "Poisson mean must be finite"),
+    ({"type": "poisson_mean", "lambda1": 1e19}, r"Poisson mean must be finite and in \(0, "),
     ({"type": "conditional_multinomial", "tau1": 10**20}, r"tau1 must be below 2\*\*63"),
 ])
 def test_experiment_cluster_size_numpy_cannot_draw_exits_nonzero(tmp_path, population_file,

@@ -264,6 +264,19 @@ def test_poisson_mean_refuses_an_infinite_mean():
         PoissonMean(float("inf"))
 
 
+def test_poisson_mean_refuses_a_mean_numpy_cannot_draw():
+    from snowlink.simulator import POISSON_MEAN_MAX
+
+    for mean in (1e19, np.nextafter(POISSON_MEAN_MAX, np.inf)):
+        with pytest.raises(InvariantViolation, match=r"in \(0, 9.22337e\+18\]"):
+            PoissonMean(mean)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(mean)
+    # the largest mean numpy draws from is admitted
+    assert PoissonMean(POISSON_MEAN_MAX).mean == POISSON_MEAN_MAX
+    assert np.random.default_rng(0).poisson(POISSON_MEAN_MAX) > 0
+
+
 def test_repeated_method_rejected_up_front():
     # a repeated method would double every row of a method's summary, so it is
     # a config error before any replicate runs

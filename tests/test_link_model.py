@@ -8,6 +8,7 @@ from snowlink import (
     DomainError,
     HomogeneousLinkModel,
     InvariantViolation,
+    ParseError,
     QuadratureRule,
     RaschLinkModel,
     ScopeViolation,
@@ -254,6 +255,55 @@ def test_every_family_bounds_every_parameter(model, extra):
         model.validate_theta(np.r_[-np.inf, np.zeros(model.q - 1)])
 
 
+@pytest.mark.parametrize("cls, args, field", [
+    (HomogeneousLinkModel, (2.5,), "n"),
+    (HomogeneousLinkModel, (True,), "n"),
+    (HomogeneousLinkModel, (2**63,), "n"),
+    (RaschLinkModel, (2.5,), "n"),
+    (RaschLinkModel, (2, 2.5), "quadrature_nodes"),
+    (RaschLinkModel, (2, True), "quadrature_nodes"),
+])
+def test_constructors_refuse_what_int_would_truncate(cls, args, field):
+    with pytest.raises(InvariantViolation, match=f"^{field} must be"):
+        cls(*args)
+
+
+def test_constructors_read_integral_floats_and_numpy_integers():
+    model = RaschLinkModel(3.0, quadrature_nodes=np.int64(20))
+    assert type(model.n) is int and (model.n, model.q, model.rule.size) == (3, 4, 20)
+    assert type(HomogeneousLinkModel(np.uint8(2)).n) is int
+    # a spec file's field keeps its own error
+    with pytest.raises(ParseError, match="^n must be an integer"):
+        model_from_spec({"family": "homogeneous", "n": 2.5})
+
+
+@pytest.mark.parametrize("k", [371, 372, 400, 1000])
+def test_quadrature_refuses_a_rule_numpy_cannot_give(k):
+    # at 371 nodes numpy's weights all underflow to 0, and from 372 its rule
+    # overflows on its way to NaN weights; both are refused by count, with
+    # no RuntimeWarning on the way
+    message = f"^numpy gives no usable Gauss-Hermite rule of {k} nodes$"
+    with pytest.raises(DomainError, match=message):
+        RaschLinkModel(2, quadrature_nodes=k)
+    assert RaschLinkModel(2, quadrature_nodes=370).rule.size == 370
+    # a one-node rule has no second moment
+    with pytest.raises(DomainError, match="^node count must be >= 2, got 1$"):
+        RaschLinkModel(2, quadrature_nodes=1)
+
+
+@pytest.mark.parametrize("where", [0, 3])
+def test_quadrature_moment_checks_fail_on_nan(where):
+    rule = QuadratureRule.gauss_hermite(6)
+    weights = rule.weights.copy()
+    weights[where] = np.nan
+    with pytest.raises(InvariantViolation, match="do not sum to 1"):
+        QuadratureRule(nodes=rule.nodes, weights=weights)
+    nodes = rule.nodes.copy()
+    nodes[where] = np.nan
+    with pytest.raises(InvariantViolation, match="first moment"):
+        QuadratureRule(nodes=nodes, weights=rule.weights)
+
+
 def test_model_from_spec_round_trip():
     model = model_from_spec({"family": "rasch", "n": 3, "quadrature_nodes": 48})
     assert model.spec() == {"family": "rasch", "n": 3, "quadrature_nodes": 48}
@@ -280,7 +330,8 @@ def _random_theta(rng, model):
 def _kernel_bytes(model, theta, scope, pats):
     probs, grads = model.probs_and_grads(theta, pats, within_site=scope)
     p0, g0 = model.zero_prob_and_grad(theta)
-    return probs.tobytes(), grads.tobytes(), float(p0).hex(), g0.tobytes()
+    info = model.information(theta, within_site=scope)
+    return probs.tobytes(), grads.tobytes(), float(p0).hex(), g0.tobytes(), info.tobytes()
 
 
 @pytest.mark.parametrize("family", ["homogeneous", "rasch"])
@@ -327,6 +378,7 @@ def test_mutating_returned_arrays_changes_no_later_result(family):
     probs[:] = grads[:] = g0[:] = np.nan
     for scope in (None, 0, 2):
         model.probs_and_grads(theta, enumerate_patterns(3, scope), within_site=scope)[1][:] = 7.0
+        model.information(theta, within_site=scope)[:] = 7.0
     assert _kernel_bytes(model, theta, None, pats) == before
 
 
@@ -379,6 +431,10 @@ def test_patterns_outside_their_scope_are_refused(family, n):
     for scope, pats, error, message in cases:
         with pytest.raises(error, match=message):
             model.probs_and_grads(theta, np.array(pats, dtype=np.int64), within_site=scope)
+    # the information refuses a scope index in the same words
+    for scope in (n, -1):
+        with pytest.raises(ScopeViolation, match=rf"^within-site index {scope} out of range"):
+            model.information(theta, within_site=scope)
     # the highest pattern of the scope is accepted
     top = (1 << n) - 1 if n < 63 else np.iinfo(np.int64).max
     assert model.probs_and_grads(theta, [top])[0][0] > 0.0

@@ -10,7 +10,6 @@ from snowlink import (
     HomogeneousLinkModel,
     InsufficientData,
     NonFiniteLikelihood,
-    PatternSpaceTooLarge,
     RaschLinkModel,
     SampleData,
     SingularMatrix,
@@ -25,9 +24,10 @@ from snowlink import (
     sigma2_sq,
     theta_covariances,
 )
+from snowlink.link_model import expit
 from snowlink.variance import _guarded_inverse, _interval_set, _positive, _route
 
-from conftest import FlatZeroPatternModel, random_model
+from conftest import FlatZeroPatternModel, enumerated_information, random_model
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +219,8 @@ def test_zero_spread_boundary_is_singular():
 
 
 # ---------------------------------------------------------------------------
-# Pattern information: the homogeneous closed form and the psi1 identity
-
-
-def enumerated_information(theta, model, within_site=None):
-    """Reference sum of grad grad^T / prob over an enumerated pattern space."""
-    pats = enumerate_patterns(model.n, excluded_site=within_site)
-    probs, grads = model.probs_and_grads(theta, pats, within_site=within_site)
-    return (grads.T / probs) @ grads
+# Pattern information: the link-total kernel against enumeration, and the
+# psi1 identity
 
 
 def psi1_precision_zero_truncated(theta, model, n, N):
@@ -244,16 +238,32 @@ def psi1_precision_zero_truncated(theta, model, n, N):
     return M
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_homogeneous_information_equals_enumerated_sum(n):
-    from snowlink.variance import _information
-
+    # one node: the link-total kernel gives diag(p (1 - p)), zero at the own
+    # site, bit for bit and sign bits included
     model = HomogeneousLinkModel(n)
     theta = np.random.default_rng(70 + n).uniform(-3.0, 3.0, n)
+    p = expit(theta)
     for site in [None, *range(n)]:
-        closed = _information(theta, model, within_site=site)
+        info = model.information(theta, within_site=site)
+        closed = np.diag(np.where(np.arange(n) != site, p * (1.0 - p), 0.0))
+        assert info.tobytes() == closed.tobytes()
         reference = enumerated_information(theta, model, within_site=site)
-        np.testing.assert_allclose(closed, reference, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(info, reference, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.2, 2.0])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rasch_information_equals_enumerated_sum(n, sigma):
+    model = RaschLinkModel(n)
+    theta = np.append(np.random.default_rng(80 + n).uniform(-3.0, 1.0, n), sigma)
+    for site in [None, *range(n)]:
+        info = model.information(theta, within_site=site)
+        reference = enumerated_information(theta, model, within_site=site)
+        assert np.max(np.abs(info - reference)) <= 1e-12 * np.max(np.abs(reference))
+        if site is not None:
+            assert not info[site].any() and not info[:, site].any()
 
 
 @pytest.mark.parametrize("family", ["homogeneous", "rasch"])
@@ -272,21 +282,22 @@ def test_psi1_truncation_identity_equals_zero_truncated_sum(family, n):
                                rtol=1e-12, atol=1e-15)
 
 
-def test_homogeneous_variances_enumerate_nothing(monkeypatch):
+@pytest.mark.parametrize("family", ["homogeneous", "rasch"])
+def test_analytic_variances_enumerate_nothing(monkeypatch, family):
     import snowlink.variance as var
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the homogeneous family enumerated a pattern space")
+        raise AssertionError("an analytic variance enumerated a pattern space")
 
     monkeypatch.setattr(var, "enumerate_patterns", refuse)
     n = 3
-    model = HomogeneousLinkModel(n)
+    model = HomogeneousLinkModel(n) if family == "homogeneous" else RaschLinkModel(n, 20)
     data = SampleData(n=n, N=8, m=(40, 35, 50))
     for method in ("umle", "cmle"):
         report = EstimateReport(method=method, tau1_real=600.0, tau1=600,
                                 tau2_real=300.0, tau2=300,
-                                theta1=np.array([-0.7, -0.9, -0.5]),
-                                theta2=np.array([-1.0, -0.8, -1.1]))
+                                theta1=np.r_[-0.7, -0.9, -0.5, [0.8] * (model.q - n)],
+                                theta2=np.r_[-1.0, -0.8, -1.1, [0.6] * (model.q - n)])
         attach_variance(report, data, model, model)
         assert report.variance.sigma1_sq > 0 and report.variance.sigma2_sq > 0
 
@@ -345,10 +356,28 @@ def test_analytic_variances_past_the_enumeration_guard():
     assert [r["method"] for r in rows] == ["umle", "cmle"]
     assert [r["error"] for r in rows] == ["", ""]
     assert all(r["sigma1_sq"] > 0 and r["sigma2_sq"] > 0 for r in rows)
-    # the other families still enumerate, and keep the guard
-    rasch = RaschLinkModel(n, quadrature_nodes=20)
-    with pytest.raises(PatternSpaceTooLarge):
-        sigma2_inverse(np.append(np.full(n, -1.0), 0.5), rasch)
+    # so does a family with a person effect: its information needs no
+    # pattern enumeration either
+    population = PopulationConfig(
+        N=60, n=n, cluster_mode=ConditionalMultinomial(2000), tau2=1000,
+        model1=RaschLinkModel(n, quadrature_nodes=20),
+        model2=RaschLinkModel(n, quadrature_nodes=20),
+        theta1=np.append(np.full(n, logit(0.3)), 0.8),
+        theta2=np.append(np.full(n, logit(0.25)), 0.6))
+    config = ExperimentConfig(population=population, replicates=1, master_seed=7)
+    rows = run_experiment(config).rows
+    assert [r["error"] for r in rows] == ["", ""]
+    assert all(r["sigma1_sq"] > 0 and r["sigma2_sq"] > 0 for r in rows)
+
+
+def test_rasch_precision_matrices_past_the_enumeration_guard():
+    n = 24
+    model = RaschLinkModel(n)
+    theta = np.append(np.full(n, logit(0.3)), 1.0)
+    for mats in (sigma1_inverse(theta, model, n, 60), psi1_inverse(theta, model, n, 60),
+                 sigma2_inverse(theta, model)):
+        assert np.isfinite(mats.inverse_form).all()
+        assert np.linalg.eigvalsh(mats.inverse_form)[0] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ The battery, on seeded ``draw_sample`` draws of both link-model families
 * ``variance``  - ``attach_variance`` with both sources, and both
   ``theta_covariances``;
 * ``matrices``  - ``sigma1_inverse``, ``psi1_inverse`` and ``sigma2_inverse``
-  at the true parameters;
+  at the true parameters, and of one ``rasch`` design with more sites than
+  pattern enumeration allows (``n = 21``, 20 nodes), whose outputs show how
+  far the analytic variances reach;
 * ``scalar``    - ``sigma1_sq_umle``, ``sigma1_sq_cmle`` and ``sigma2_sq`` at
   the true parameters;
 * ``loglik``    - ``loglik_full`` and ``loglik_cond`` of both parts at the
@@ -50,6 +52,8 @@ import numpy as np  # noqa: E402
 
 DRAWS = 120
 STUDY_REPLICATES = 6
+#: One more site than ``patterns.ENUMERATION_GUARD`` allows.
+REACH_SITES = 21
 FAMILIES = ("fit", "variance", "matrices", "scalar", "loglik", "study")
 
 
@@ -192,6 +196,18 @@ def run_draw(sl, fp: Fingerprint, index: int):
             fp.record("loglik", f"{tag}/{part}/{name}", lambda: _terms(fn()))
 
 
+def run_reach(sl, fp: Fingerprint):
+    """The three precision matrices of a ``rasch`` design past the pattern
+    enumeration guard; a tree that enumerates records its refusal."""
+    n = REACH_SITES
+    model = sl.RaschLinkModel(n, quadrature_nodes=20)
+    theta = np.append(np.full(n, -0.85), 1.0)
+    for which, build in (("sigma1", lambda: sl.sigma1_inverse(theta, model, n, 3 * n)),
+                         ("psi1", lambda: sl.psi1_inverse(theta, model, n, 3 * n)),
+                         ("sigma2", lambda: sl.sigma2_inverse(theta, model))):
+        fp.record("matrices", f"reach{n}/{which}", lambda: _matrices(build()))
+
+
 def run_studies(sl, fp: Fingerprint, tmp: Path):
     for family_index in (3, 1):  # the designs of draw 3 (rasch) and 1 (homogeneous)
         pop = _population(sl, family_index)
@@ -229,6 +245,7 @@ def main(argv: list[str]) -> int:
     fp = Fingerprint()
     for index in range(DRAWS):
         run_draw(sl, fp, index)
+    run_reach(sl, fp)
     with tempfile.TemporaryDirectory() as tmp:
         run_studies(sl, fp, Path(tmp))
     if args.labels:
